@@ -29,6 +29,13 @@
 
 use virtuoso_bench::simspeed::{measure, render, SpeedOptions};
 
+const USAGE: &str = "usage: simspeed [--quick] [--ref-mips X] [--out PATH] [--engine LIST]
+                [--cores LIST] [--threads LIST] [--min-mips X] [--instructions N]
+
+Measures simulated MIPS per cell and writes BENCH_simspeed.json at the
+repository root (or at --out PATH). An unknown argument exits with
+status 2 before any cell runs.";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -96,7 +103,15 @@ fn main() {
                     .collect();
                 i += 2;
             }
-            _ => i += 1,
+            "--quick" => i += 1,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => {
+                eprintln!("simspeed: unknown argument {other:?}\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
 

@@ -1,6 +1,5 @@
 //! The benchmark harness: one experiment function per table/figure of the
-//! Virtuoso paper's evaluation section, shared by the `figXX_*` binaries and
-//! the Criterion benches.
+//! Virtuoso paper's evaluation section, shared by the `figXX_*` binaries.
 //!
 //! Every experiment returns a printable table of rows (so the binaries stay
 //! one-liners) and uses deliberately scaled-down instruction budgets so the

@@ -1,8 +1,10 @@
 //! A single set-associative cache.
 
-use crate::replacement::{ReplacementPolicy, SetReplacement};
+use crate::replacement::{ReplacementPolicy, ReplacementState};
 use serde::{Deserialize, Serialize};
-use vm_types::{Counter, Cycles, FastDiv, PhysAddr, Requestor, CACHE_LINE_BYTES};
+use vm_types::{
+    Counter, Cycles, FastDiv, PhysAddr, Requestor, VmError, VmResult, CACHE_LINE_BYTES,
+};
 
 /// Configuration of one cache level.
 ///
@@ -84,6 +86,34 @@ impl CacheConfig {
     /// Number of sets implied by capacity, associativity and line size.
     pub fn num_sets(&self) -> usize {
         (self.capacity_bytes / (self.ways as u64 * CACHE_LINE_BYTES)).max(1) as usize
+    }
+
+    /// Checks the geometry: 1 to 64 ways, and a capacity that is a whole,
+    /// non-zero number of sets of `ways` 64-byte lines.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::InvalidConfig`] naming the bad field.
+    pub fn validate(&self) -> VmResult<()> {
+        let invalid = |field: &str, problem: String| {
+            Err(VmError::InvalidConfig {
+                reason: format!("cache {:?}: {field} {problem}", self.name),
+            })
+        };
+        if !(1..=64).contains(&self.ways) {
+            return invalid("ways", format!("must be 1 to 64, got {}", self.ways));
+        }
+        let set_bytes = u64::from(self.ways) * CACHE_LINE_BYTES;
+        if self.capacity_bytes == 0 || !self.capacity_bytes.is_multiple_of(set_bytes) {
+            return invalid(
+                "capacity_bytes",
+                format!(
+                    "must be a non-zero multiple of one set ({} ways x {CACHE_LINE_BYTES} B = {set_bytes} B), got {}",
+                    self.ways, self.capacity_bytes
+                ),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -178,7 +208,7 @@ impl Line {
     }
 
     fn matches(self, tag: u64) -> bool {
-        self.valid() && self.tag() == tag
+        self.0 & !(Self::DIRTY | Self::PREFETCHED) == (tag << 3) | Self::VALID
     }
 
     fn set_dirty(&mut self) {
@@ -194,6 +224,27 @@ impl Line {
     }
 }
 
+/// Where a line that missed would be filled: its set and tag, and which of
+/// the set's ways held valid lines when [`Cache::probe`] scanned it. A miss
+/// slot is valid only until its set is touched again (by a fill, an
+/// invalidation or another probe's hit): [`Cache::fill_miss`] trusts it
+/// instead of scanning the set a second time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MissSlot {
+    set: usize,
+    tag: u64,
+    valid: u64,
+}
+
+/// Outcome of a [`Cache::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The line was present.
+    Hit,
+    /// The line was absent; the slot says where a fill would put it.
+    Miss(MissSlot),
+}
+
 /// A single set-associative cache with physical tags.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
@@ -203,7 +254,8 @@ pub struct Cache {
     /// instead of a pointer chase into a per-set `Vec` on every access.
     lines: Vec<Line>,
     ways: usize,
-    replacement: Vec<SetReplacement>,
+    /// LRU clocks or SRRIP ages, in the same set-major layout as `lines`.
+    replacement: ReplacementState,
     stats: CacheStats,
     /// Precomputed set-count divisor (a mask/shift for the power-of-two
     /// geometries every shipped configuration uses).
@@ -212,15 +264,21 @@ pub struct Cache {
 
 impl Cache {
     /// Builds a cache from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`CacheConfig::validate`] message when the geometry
+    /// is invalid.
     pub fn new(config: CacheConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let num_sets = config.num_sets();
         let ways = config.ways as usize;
         Cache {
             lines: vec![Line::default(); num_sets * ways],
             ways,
-            replacement: (0..num_sets)
-                .map(|_| SetReplacement::new(config.replacement, ways))
-                .collect(),
+            replacement: ReplacementState::new(config.replacement, num_sets, ways),
             config,
             stats: CacheStats::default(),
             set_div: FastDiv::new(num_sets as u64),
@@ -262,6 +320,20 @@ impl Cache {
         (set, tag)
     }
 
+    /// The one pass over a set every operation makes: the way holding
+    /// `tag`, or else the set's valid-way mask.
+    #[inline]
+    fn probe_set(&self, set_idx: usize, tag: u64) -> Result<usize, u64> {
+        let mut valid = 0u64;
+        for (way, line) in self.set(set_idx).iter().enumerate() {
+            if line.matches(tag) {
+                return Ok(way);
+            }
+            valid |= u64::from(line.valid()) << way;
+        }
+        Err(valid)
+    }
+
     /// Looks up a cache line without modifying contents on a miss.
     /// Updates hit/miss statistics and replacement state on hits.
     pub fn lookup(
@@ -270,63 +342,97 @@ impl Cache {
         is_write: bool,
         requestor: Requestor,
     ) -> LookupResult {
-        let (set_idx, tag) = self.index_and_tag(paddr);
-        let set = self.set_mut(set_idx);
-        if let Some(way) = set.iter().position(|l| l.matches(tag)) {
-            if is_write {
-                set[way].set_dirty();
-            }
-            if set[way].prefetched() {
-                set[way].clear_prefetched();
-                self.stats.prefetch_hits.inc();
-            }
-            self.replacement[set_idx].on_hit(way);
-            self.stats.hits.inc();
-            LookupResult::Hit
-        } else {
-            self.stats.misses.inc();
-            if requestor == Requestor::Kernel {
-                self.stats.kernel_misses.inc();
-            }
-            LookupResult::Miss
+        match self.probe(paddr, is_write, requestor) {
+            Probe::Hit => LookupResult::Hit,
+            Probe::Miss(_) => LookupResult::Miss,
         }
+    }
+
+    /// [`Cache::lookup`] that also returns, on a miss, the [`MissSlot`] a
+    /// later [`Cache::fill_miss`] of the same line fills without scanning
+    /// the set again. Statistics and replacement effects are exactly those
+    /// of `lookup`.
+    #[inline]
+    pub fn probe(&mut self, paddr: PhysAddr, is_write: bool, requestor: Requestor) -> Probe {
+        let (set, tag) = self.index_and_tag(paddr);
+        match self.probe_set(set, tag) {
+            Ok(way) => {
+                let line = &mut self.lines[set * self.ways + way];
+                if is_write {
+                    line.set_dirty();
+                }
+                if line.prefetched() {
+                    line.clear_prefetched();
+                    self.stats.prefetch_hits.inc();
+                }
+                self.replacement.on_hit(set, way);
+                self.stats.hits.inc();
+                Probe::Hit
+            }
+            Err(valid) => {
+                self.stats.misses.inc();
+                if requestor == Requestor::Kernel {
+                    self.stats.kernel_misses.inc();
+                }
+                Probe::Miss(MissSlot { set, tag, valid })
+            }
+        }
+    }
+
+    /// The slot a fill of `paddr` would use, or `None` when the line is
+    /// resident. Touches no statistics or replacement state.
+    #[inline]
+    pub fn miss_slot(&self, paddr: PhysAddr) -> Option<MissSlot> {
+        let (set, tag) = self.index_and_tag(paddr);
+        self.probe_set(set, tag)
+            .err()
+            .map(|valid| MissSlot { set, tag, valid })
     }
 
     /// Fills a line into the cache (after a miss was serviced by the next
     /// level or DRAM). Returns the physical address of the evicted dirty
     /// line, if a writeback is required.
     pub fn fill(&mut self, paddr: PhysAddr, is_write: bool, prefetched: bool) -> Option<PhysAddr> {
-        let (set_idx, tag) = self.index_and_tag(paddr);
-        let num_sets = self.replacement.len() as u64;
-        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
-
-        // If the line is already present (e.g. racing fills), just update it.
-        if let Some(way) = set.iter().position(|l| l.matches(tag)) {
-            if is_write {
-                set[way].set_dirty();
+        let (set, tag) = self.index_and_tag(paddr);
+        match self.probe_set(set, tag) {
+            // Already present (e.g. racing fills): just update it.
+            Ok(way) => {
+                if is_write {
+                    self.lines[set * self.ways + way].set_dirty();
+                }
+                None
             }
-            return None;
+            Err(valid) => self.fill_miss(MissSlot { set, tag, valid }, is_write, prefetched),
         }
+    }
 
-        // Way validity as a stack bitmask: no per-fill heap allocation.
-        let mut valid_mask = 0u64;
-        for (way, line) in set.iter().enumerate() {
-            if line.valid() {
-                valid_mask |= 1 << way;
-            }
-        }
-        let victim_way = self.replacement[set_idx].choose_victim_mask(valid_mask);
-        let victim = set[victim_way];
+    /// Fills the line a probe missed into its [`MissSlot`], evicting the
+    /// lowest invalid way or else the replacement policy's victim. Returns
+    /// the physical address of the evicted dirty line, if a writeback is
+    /// required. The slot must still be valid: nothing may have touched
+    /// its set since the probe that produced it.
+    #[inline]
+    pub fn fill_miss(
+        &mut self,
+        slot: MissSlot,
+        is_write: bool,
+        prefetched: bool,
+    ) -> Option<PhysAddr> {
+        let MissSlot { set, tag, valid } = slot;
+        debug_assert_eq!(self.probe_set(set, tag), Err(valid), "stale miss slot");
+        let way = self.replacement.victim(set, valid);
+        let line = &mut self.lines[set * self.ways + way];
+        let victim = *line;
+        *line = Line::new(tag, is_write, prefetched);
+        self.replacement.on_insert(set, way);
         let mut writeback = None;
         if victim.valid() {
             self.stats.evictions.inc();
             if victim.dirty() {
-                let victim_line = victim.tag() * num_sets + set_idx as u64;
+                let victim_line = victim.tag() * self.set_div.divisor() + set as u64;
                 writeback = Some(PhysAddr::new(victim_line * CACHE_LINE_BYTES));
             }
         }
-        set[victim_way] = Line::new(tag, is_write, prefetched);
-        self.replacement[set_idx].on_insert(victim_way);
         if prefetched {
             self.stats.prefetch_fills.inc();
         }
@@ -335,8 +441,7 @@ impl Cache {
 
     /// Returns `true` if the line containing `paddr` is currently cached.
     pub fn contains(&self, paddr: PhysAddr) -> bool {
-        let (set_idx, tag) = self.index_and_tag(paddr);
-        self.set(set_idx).iter().any(|l| l.matches(tag))
+        self.miss_slot(paddr).is_none()
     }
 
     /// Invalidates the line containing `paddr` if present (used for TLB
@@ -465,6 +570,76 @@ mod tests {
         c.fill(pa(0x0), false, false);
         c.lookup(pa(0x0), false, Requestor::Application);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    fn rejection(cfg: CacheConfig) -> String {
+        cfg.validate()
+            .expect_err("geometry must be rejected")
+            .to_string()
+    }
+
+    #[test]
+    fn zero_ways_are_rejected() {
+        let e = rejection(CacheConfig {
+            ways: 0,
+            ..CacheConfig::l1_data()
+        });
+        assert!(e.contains("\"L1D\": ways"), "{e}");
+    }
+
+    #[test]
+    fn more_than_64_ways_are_rejected() {
+        let e = rejection(CacheConfig {
+            ways: 65,
+            capacity_bytes: 65 * 64 * 4,
+            ..CacheConfig::l2()
+        });
+        assert!(e.contains("ways must be 1 to 64, got 65"), "{e}");
+    }
+
+    #[test]
+    fn capacity_that_is_not_whole_sets_is_rejected() {
+        // A 100-byte cache and a 3-way 2 MiB cache both leave a fraction
+        // of a set; a zero capacity has no set at all.
+        for (capacity_bytes, ways) in [(100, 16), (2 * 1024 * 1024, 3), (0, 8)] {
+            let e = rejection(CacheConfig {
+                capacity_bytes,
+                ways,
+                ..CacheConfig::l3()
+            });
+            assert!(e.contains("\"L3\": capacity_bytes"), "{e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be 1 to 64, got 0")]
+    fn cache_new_panics_with_the_validation_message() {
+        Cache::new(CacheConfig {
+            ways: 0,
+            ..CacheConfig::l1_data()
+        });
+    }
+
+    #[test]
+    fn every_shipped_config_validates() {
+        use crate::HierarchyConfig;
+        let presets = [
+            CacheConfig::l1_data(),
+            CacheConfig::l1_instruction(),
+            CacheConfig::l2(),
+            CacheConfig::l3(),
+            CacheConfig::tiny("T"),
+        ];
+        let hierarchies = [
+            HierarchyConfig::paper_baseline(),
+            HierarchyConfig::small_test(),
+        ];
+        let levels = hierarchies
+            .iter()
+            .flat_map(|h| [&h.l1i, &h.l1d, &h.l2, &h.l3]);
+        for cfg in presets.iter().chain(levels) {
+            assert_eq!(cfg.validate(), Ok(()), "{}", cfg.name);
+        }
     }
 
     #[test]

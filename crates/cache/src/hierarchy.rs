@@ -1,7 +1,7 @@
 //! The three-level cache hierarchy (L1I, L1D, L2, L3) with prefetchers,
 //! mirroring the paper's baseline configuration (Table 4).
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheStats, Probe};
 use crate::prefetch::{IpStridePrefetcher, PrefetchTargets, Prefetcher, StreamPrefetcher};
 use serde::{Deserialize, Serialize};
 use vm_types::{AccessType, Cycles, FixedVec, PhysAddr, Requestor, VirtAddr};
@@ -198,53 +198,41 @@ impl CacheHierarchy {
         let mut writebacks = WritebackList::new();
         let mut dram_fetches = DramFetchList::new();
 
+        // Each level is probed once. A miss returns the slot its fill will
+        // use; nothing touches that level's set before the fill, and the
+        // fills run L3 -> L2 -> L1 so write-backs reach DRAM in that order.
         let l1 = if is_fetch {
             &mut self.l1i
         } else {
             &mut self.l1d
         };
         latency += l1.latency();
-        let hit_level = if l1.lookup(paddr, is_write, requestor).is_hit() {
-            if is_fetch {
-                Level::L1I
-            } else {
-                Level::L1D
-            }
-        } else {
-            latency += self.l2.latency();
-            if self.l2.lookup(paddr, is_write, requestor).is_hit() {
-                // Fill into L1.
-                let l1 = if is_fetch {
-                    &mut self.l1i
-                } else {
-                    &mut self.l1d
-                };
-                writebacks.extend(l1.fill(paddr, is_write, false));
-                Level::L2
-            } else {
-                latency += self.l3.latency();
-                if self.l3.lookup(paddr, is_write, requestor).is_hit() {
-                    writebacks.extend(self.l2.fill(paddr, false, false));
-                    let l1 = if is_fetch {
-                        &mut self.l1i
-                    } else {
-                        &mut self.l1d
-                    };
-                    writebacks.extend(l1.fill(paddr, is_write, false));
-                    Level::L3
-                } else {
-                    // Miss everywhere: fill the entire path and report the
-                    // DRAM fetch to the caller.
-                    dram_fetches.push(paddr.cache_line());
-                    writebacks.extend(self.l3.fill(paddr, false, false));
-                    writebacks.extend(self.l2.fill(paddr, false, false));
-                    let l1 = if is_fetch {
-                        &mut self.l1i
-                    } else {
-                        &mut self.l1d
-                    };
-                    writebacks.extend(l1.fill(paddr, is_write, false));
-                    Level::Memory
+        let hit_level = match l1.probe(paddr, is_write, requestor) {
+            Probe::Hit if is_fetch => Level::L1I,
+            Probe::Hit => Level::L1D,
+            Probe::Miss(l1_slot) => {
+                latency += self.l2.latency();
+                match self.l2.probe(paddr, is_write, requestor) {
+                    Probe::Hit => {
+                        writebacks.extend(l1.fill_miss(l1_slot, is_write, false));
+                        Level::L2
+                    }
+                    Probe::Miss(l2_slot) => {
+                        latency += self.l3.latency();
+                        let level = match self.l3.probe(paddr, is_write, requestor) {
+                            Probe::Hit => Level::L3,
+                            Probe::Miss(l3_slot) => {
+                                // Miss everywhere: fill the entire path and
+                                // report the DRAM fetch to the caller.
+                                dram_fetches.push(paddr.cache_line());
+                                writebacks.extend(self.l3.fill_miss(l3_slot, false, false));
+                                Level::Memory
+                            }
+                        };
+                        writebacks.extend(self.l2.fill_miss(l2_slot, false, false));
+                        writebacks.extend(l1.fill_miss(l1_slot, is_write, false));
+                        level
+                    }
                 }
             }
         };
@@ -261,10 +249,13 @@ impl CacheHierarchy {
             }
             prefetch_spilled = prefetch_targets.spilled();
             for &target in prefetch_targets.iter() {
-                if !self.l2.contains(target) && !self.l3.contains(target) {
+                let Some(l2_slot) = self.l2.miss_slot(target) else {
+                    continue;
+                };
+                if let Some(l3_slot) = self.l3.miss_slot(target) {
                     dram_fetches.push(target.cache_line());
-                    writebacks.extend(self.l3.fill(target, false, true));
-                    writebacks.extend(self.l2.fill(target, false, true));
+                    writebacks.extend(self.l3.fill_miss(l3_slot, false, true));
+                    writebacks.extend(self.l2.fill_miss(l2_slot, false, true));
                 }
             }
         }
@@ -303,26 +294,21 @@ impl CacheHierarchy {
         let mut latency = self.l2.latency();
         let mut writebacks = WritebackList::new();
         let mut dram_fetches = DramFetchList::new();
-        let hit_level = if self
-            .l2
-            .lookup(paddr, false, Requestor::PageTableWalker)
-            .is_hit()
-        {
-            Level::L2
-        } else {
-            latency += self.l3.latency();
-            if self
-                .l3
-                .lookup(paddr, false, Requestor::PageTableWalker)
-                .is_hit()
-            {
-                writebacks.extend(self.l2.fill(paddr, false, false));
-                Level::L3
-            } else {
-                dram_fetches.push(paddr.cache_line());
-                writebacks.extend(self.l3.fill(paddr, false, false));
-                writebacks.extend(self.l2.fill(paddr, false, false));
-                Level::Memory
+        let walker = Requestor::PageTableWalker;
+        let hit_level = match self.l2.probe(paddr, false, walker) {
+            Probe::Hit => Level::L2,
+            Probe::Miss(l2_slot) => {
+                latency += self.l3.latency();
+                let level = match self.l3.probe(paddr, false, walker) {
+                    Probe::Hit => Level::L3,
+                    Probe::Miss(l3_slot) => {
+                        dram_fetches.push(paddr.cache_line());
+                        writebacks.extend(self.l3.fill_miss(l3_slot, false, false));
+                        Level::Memory
+                    }
+                };
+                writebacks.extend(self.l2.fill_miss(l2_slot, false, false));
+                level
             }
         };
         HierarchyAccess {

@@ -30,7 +30,7 @@ pub mod hierarchy;
 pub mod prefetch;
 pub mod replacement;
 
-pub use cache::{Cache, CacheConfig, CacheStats, LookupResult};
+pub use cache::{Cache, CacheConfig, CacheStats, LookupResult, MissSlot, Probe};
 pub use hierarchy::{
     CacheHierarchy, DramFetchList, HierarchyAccess, HierarchyConfig, HierarchyStats, Level,
     WritebackList,

@@ -6,12 +6,17 @@
 use serde::{Deserialize, Serialize};
 use vm_types::{Counter, Cycles, FastDiv, VirtAddr};
 
+/// An empty PWC way.
+const EMPTY: (u64, u64) = (0, 0);
+
 /// One page-walk cache level (caching entries of one radix level).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct PwcLevel {
-    entries: usize,
     ways: usize,
-    tags: Vec<Vec<Option<(u64, u64)>>>, // (tag, lru)
+    /// Flat set-major `(tag, lru)` pairs: set `s` occupies
+    /// `slots[s * ways .. (s + 1) * ways]`. A stamp of 0 marks an empty
+    /// way — the clock ticks before every fill, so live stamps are >= 1.
+    slots: Vec<(u64, u64)>,
     clock: u64,
     hits: Counter,
     misses: Counter,
@@ -23,9 +28,8 @@ impl PwcLevel {
     fn new(entries: usize, ways: usize) -> Self {
         let sets = (entries / ways).max(1);
         PwcLevel {
-            entries,
             ways,
-            tags: vec![vec![None; ways]; sets],
+            slots: vec![EMPTY; sets * ways],
             clock: 0,
             hits: Counter::new(),
             misses: Counter::new(),
@@ -33,12 +37,17 @@ impl PwcLevel {
         }
     }
 
+    fn set_mut(&mut self, tag: u64) -> &mut [(u64, u64)] {
+        let base = self.set_div.rem(tag) as usize * self.ways;
+        &mut self.slots[base..base + self.ways]
+    }
+
     fn probe(&mut self, tag: u64) -> bool {
         self.clock += 1;
-        let set = self.set_div.rem(tag) as usize;
-        for slot in self.tags[set].iter_mut().flatten() {
-            if slot.0 == tag {
-                slot.1 = self.clock;
+        let clock = self.clock;
+        for slot in self.set_mut(tag) {
+            if slot.1 != 0 && slot.0 == tag {
+                slot.1 = clock;
                 self.hits.inc();
                 return true;
             }
@@ -47,21 +56,25 @@ impl PwcLevel {
         false
     }
 
+    /// Installs `tag` in the first empty way of its set, else over the
+    /// first way with the smallest stamp: one pass, since empty ways carry
+    /// the smallest stamp of all.
+    ///
+    /// Known modeling defect, kept so reports stay identical: the fill
+    /// does not check whether `tag` is already resident, so two fills of
+    /// one tag leave two copies in the set and hot upper-level entries
+    /// crowd out their set-mates. Fixing it changes simulated results and
+    /// needs its own golden re-bless.
     fn fill(&mut self, tag: u64) {
         self.clock += 1;
-        let set = self.set_div.rem(tag) as usize;
         let clock = self.clock;
-        let ways = &mut self.tags[set];
-        if let Some(slot) = ways.iter_mut().find(|s| s.is_none()) {
-            *slot = Some((tag, clock));
-            return;
-        }
-        if let Some(victim) = ways
-            .iter_mut()
-            .min_by_key(|s| s.map(|(_, lru)| lru).unwrap_or(0))
-        {
-            *victim = Some((tag, clock));
-        }
+        let set = self.set_mut(tag);
+        let victim = set
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, slot)| slot.1)
+            .map_or(0, |(way, _)| way);
+        set[victim] = (tag, clock);
     }
 }
 
@@ -152,11 +165,7 @@ impl PageWalkCaches {
     /// walks of the incoming address space honest.
     pub fn flush(&mut self) {
         for level in &mut self.levels {
-            for set in &mut level.tags {
-                for slot in set {
-                    *slot = None;
-                }
-            }
+            level.slots.fill(EMPTY);
         }
     }
 
@@ -170,11 +179,9 @@ impl PageWalkCaches {
         let mut dropped = 0;
         for i in 0..self.levels.len() {
             let tag = Self::tag(va, i);
-            let level = &mut self.levels[i];
-            let set = level.set_div.rem(tag) as usize;
-            for slot in &mut level.tags[set] {
-                if matches!(slot, Some((t, _)) if *t == tag) {
-                    *slot = None;
+            for slot in self.levels[i].set_mut(tag) {
+                if slot.1 != 0 && slot.0 == tag {
+                    *slot = EMPTY;
                     dropped += 1;
                 }
             }
@@ -244,6 +251,17 @@ mod tests {
             "unrelated regions keep their cached levels"
         );
         assert_eq!(pwc.invalidate(VirtAddr::new(0x1000)), 0);
+    }
+
+    #[test]
+    fn refilling_an_address_duplicates_its_entries() {
+        // Pins the known duplicate-fill defect (see `PwcLevel::fill`):
+        // each level holds the same tag twice after two fills.
+        let mut pwc = PageWalkCaches::paper_baseline();
+        let va = VirtAddr::new(0x7f00_1234_5000);
+        pwc.fill(va);
+        pwc.fill(va);
+        assert_eq!(pwc.invalidate(va), 6);
     }
 
     #[test]

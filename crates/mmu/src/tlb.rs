@@ -8,7 +8,7 @@
 
 use mimic_os::Mapping;
 use serde::{Deserialize, Serialize};
-use vm_types::{Asid, Counter, Cycles, FastDiv, PageSize, VirtAddr};
+use vm_types::{Asid, Counter, Cycles, FastDiv, PageSize, PhysAddr, VirtAddr, VmError, VmResult};
 
 /// Configuration of a single TLB.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,6 +42,36 @@ impl TlbConfig {
             page_sizes: sizes.to_vec(),
         }
     }
+
+    /// Checks the geometry: 1 to 64 ways, an entry count that is a whole,
+    /// non-zero number of sets, and at least one page size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::InvalidConfig`] naming the bad field.
+    pub fn validate(&self) -> VmResult<()> {
+        let invalid = |field: &str, problem: String| {
+            Err(VmError::InvalidConfig {
+                reason: format!("TLB {:?}: {field} {problem}", self.name),
+            })
+        };
+        if !(1..=64).contains(&self.ways) {
+            return invalid("ways", format!("must be 1 to 64, got {}", self.ways));
+        }
+        if self.entries == 0 || !self.entries.is_multiple_of(self.ways) {
+            return invalid(
+                "entries",
+                format!(
+                    "must be a non-zero multiple of ways ({}), got {}",
+                    self.ways, self.entries
+                ),
+            );
+        }
+        if self.page_sizes.is_empty() {
+            return invalid("page_sizes", "must name at least one page size".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// Statistics for one TLB.
@@ -73,13 +103,64 @@ impl TlbStats {
     }
 }
 
+/// One TLB slot. The page number is not stored: it is `vaddr`'s page
+/// number at `size`. A stamp of 0 marks an empty slot — the probe clock
+/// ticks before every fill and hit, so a live entry's stamp is at least 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct TlbEntry {
-    asid: Asid,
-    vpn: u64,
-    size: PageSize,
-    mapping: Mapping,
+    vaddr: VirtAddr,
+    paddr: PhysAddr,
     lru: u64,
+    asid: Asid,
+    size: PageSize,
+}
+
+impl TlbEntry {
+    const EMPTY: TlbEntry = TlbEntry {
+        vaddr: VirtAddr::ZERO,
+        paddr: PhysAddr::ZERO,
+        lru: 0,
+        asid: Asid::KERNEL,
+        size: PageSize::Size4K,
+    };
+
+    fn new(asid: Asid, mapping: Mapping, lru: u64) -> Self {
+        TlbEntry {
+            vaddr: mapping.vaddr,
+            paddr: mapping.paddr,
+            lru,
+            asid,
+            size: mapping.page_size,
+        }
+    }
+
+    fn is_live(&self) -> bool {
+        self.lru != 0
+    }
+
+    /// Whether this is the live entry of `asid` for page `vpn` of `size`.
+    #[inline]
+    fn holds(&self, asid: Asid, size: PageSize, vpn: u64) -> bool {
+        self.vaddr.page_number(size).number() == vpn
+            && self.asid == asid
+            && self.size == size
+            && self.is_live()
+    }
+
+    /// Whether this is a live entry of `asid` whose page contains `va`.
+    fn covers(&self, asid: Asid, va: VirtAddr) -> bool {
+        self.is_live()
+            && self.asid == asid
+            && self.vaddr.page_number(self.size) == va.page_number(self.size)
+    }
+
+    fn mapping(&self) -> Mapping {
+        Mapping {
+            vaddr: self.vaddr,
+            paddr: self.paddr,
+            page_size: self.size,
+        }
+    }
 }
 
 /// Dense index of a page size into the per-size resident counts.
@@ -99,7 +180,7 @@ pub struct Tlb {
     /// `slots[s * ways .. (s + 1) * ways]`. One contiguous allocation keeps
     /// each set on adjacent cache lines; per-set `Vec`s scattered every
     /// probe across the heap.
-    slots: Vec<Option<TlbEntry>>,
+    slots: Vec<TlbEntry>,
     ways: usize,
     clock: u64,
     stats: TlbStats,
@@ -114,10 +195,18 @@ pub struct Tlb {
 
 impl Tlb {
     /// Builds a TLB from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`TlbConfig::validate`] message when the geometry
+    /// is invalid.
     pub fn new(config: TlbConfig) -> Self {
-        let sets = (config.entries / config.ways).max(1);
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+        let sets = config.entries / config.ways;
         Tlb {
-            slots: vec![None; sets * config.ways],
+            slots: vec![TlbEntry::EMPTY; sets * config.ways],
             ways: config.ways,
             clock: 0,
             stats: TlbStats::default(),
@@ -170,12 +259,10 @@ impl Tlb {
             let vpn = va.page_number(size).number();
             let base = self.set_index(vpn) * self.ways;
             for (way, entry) in self.slots[base..base + self.ways].iter_mut().enumerate() {
-                if let Some(entry) = entry {
-                    if entry.asid == asid && entry.size == size && entry.vpn == vpn {
-                        entry.lru = self.clock;
-                        self.stats.hits.inc();
-                        return Some((entry.mapping, (base + way) as u32));
-                    }
+                if entry.holds(asid, size, vpn) {
+                    entry.lru = self.clock;
+                    self.stats.hits.inc();
+                    return Some((entry.mapping(), (base + way) as u32));
                 }
             }
         }
@@ -193,8 +280,8 @@ impl Tlb {
     /// when the verification fails (the entry was evicted, invalidated,
     /// flushed or replaced since the pointer was recorded).
     pub(crate) fn hit_at(&mut self, slot: u32, asid: Asid, va: VirtAddr) -> Option<Mapping> {
-        let entry = (*self.slots.get(slot as usize)?)?;
-        if entry.asid != asid || entry.vpn != va.page_number(entry.size).number() {
+        let entry = *self.slots.get(slot as usize)?;
+        if !entry.covers(asid, va) {
             return None;
         }
         // An entry of an earlier-probed size would win the real lookup:
@@ -211,18 +298,15 @@ impl Tlb {
             let base = self.set_index(vpn) * self.ways;
             if self.slots[base..base + self.ways]
                 .iter()
-                .flatten()
-                .any(|e| e.asid == asid && e.size == size && e.vpn == vpn)
+                .any(|e| e.holds(asid, size, vpn))
             {
                 return None;
             }
         }
         self.clock += 1;
-        let clock = self.clock;
-        let entry = self.slots[slot as usize].as_mut().expect("checked above");
-        entry.lru = clock;
+        self.slots[slot as usize].lru = self.clock;
         self.stats.hits.inc();
-        Some(entry.mapping)
+        Some(entry.mapping())
     }
 
     /// Replays the state effects of a [`Tlb::lookup`] miss (the probe
@@ -244,8 +328,7 @@ impl Tlb {
             let base = self.set_index(vpn) * self.ways;
             if self.slots[base..base + self.ways]
                 .iter()
-                .flatten()
-                .any(|e| e.asid == asid && e.size == size && e.vpn == vpn)
+                .any(|e| e.holds(asid, size, vpn))
             {
                 return true;
             }
@@ -272,53 +355,32 @@ impl Tlb {
             return (None, None);
         }
         self.clock += 1;
-        let vpn = mapping.vaddr.page_number(mapping.page_size).number();
+        let size = mapping.page_size;
+        let vpn = mapping.vaddr.page_number(size).number();
         let base = self.set_index(vpn) * self.ways;
-        let clock = self.clock;
-        let set = &mut self.slots[base..base + self.ways];
-        // Already present: refresh.
-        for (way, entry) in set.iter_mut().enumerate() {
-            if let Some(entry) = entry {
-                if entry.asid == asid && entry.size == mapping.page_size && entry.vpn == vpn {
-                    entry.mapping = mapping;
-                    entry.lru = clock;
-                    return (Some((base + way) as u32), None);
-                }
+        let fresh = TlbEntry::new(asid, mapping, self.clock);
+        // One pass finds the resident entry to refresh or else the victim:
+        // the first way with the smallest stamp, which is the first free
+        // way when there is one (free ways are stamped 0).
+        let mut victim_way = 0;
+        let mut oldest = u64::MAX;
+        for (way, entry) in self.slots[base..base + self.ways].iter_mut().enumerate() {
+            if entry.holds(asid, size, vpn) {
+                *entry = fresh;
+                return (Some((base + way) as u32), None);
             }
+            // Select without a branch: the stamps' order is unpredictable.
+            victim_way = if entry.lru < oldest { way } else { victim_way };
+            oldest = oldest.min(entry.lru);
         }
-        // Free way?
-        if let Some(way) = set.iter().position(|e| e.is_none()) {
-            set[way] = Some(TlbEntry {
-                asid,
-                vpn,
-                size: mapping.page_size,
-                mapping,
-                lru: clock,
-            });
-            self.present[size_rank(mapping.page_size)] += 1;
-            return (Some((base + way) as u32), None);
-        }
-        // Evict LRU.
-        let victim_way = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let victim = set[victim_way];
-        set[victim_way] = Some(TlbEntry {
-            asid,
-            vpn,
-            size: mapping.page_size,
-            mapping,
-            lru: clock,
-        });
-        if let Some(victim) = victim {
+        let victim = std::mem::replace(&mut self.slots[base + victim_way], fresh);
+        self.present[size_rank(size)] += 1;
+        let evicted = victim.is_live().then(|| {
             self.present[size_rank(victim.size)] -= 1;
-        }
-        self.present[size_rank(mapping.page_size)] += 1;
-        self.stats.evictions.inc();
-        (Some((base + victim_way) as u32), victim.map(|e| e.mapping))
+            self.stats.evictions.inc();
+            victim.mapping()
+        });
+        (Some((base + victim_way) as u32), evicted)
     }
 
     /// Invalidates any entry of address space `asid` covering `va` (TLB
@@ -333,13 +395,11 @@ impl Tlb {
             let vpn = va.page_number(size).number();
             let base = self.set_index(vpn) * self.ways;
             for slot in &mut self.slots[base..base + self.ways] {
-                if let Some(e) = slot {
-                    if e.asid == asid && e.size == size && e.vpn == vpn {
-                        *slot = None;
-                        self.present[size_rank(size)] -= 1;
-                        removed += 1;
-                        self.stats.invalidations.inc();
-                    }
+                if slot.holds(asid, size, vpn) {
+                    *slot = TlbEntry::EMPTY;
+                    self.present[size_rank(size)] -= 1;
+                    removed += 1;
+                    self.stats.invalidations.inc();
                 }
             }
         }
@@ -349,7 +409,10 @@ impl Tlb {
     /// Every resident entry as `(asid, mapping)` pairs, for invariant
     /// checking and debugging (not a modeled hardware operation).
     pub fn entries(&self) -> impl Iterator<Item = (Asid, Mapping)> + '_ {
-        self.slots.iter().flatten().map(|e| (e.asid, e.mapping))
+        self.slots
+            .iter()
+            .filter(|e| e.is_live())
+            .map(|e| (e.asid, e.mapping()))
     }
 
     /// Flushes the entire TLB (a context switch without ASID support).
@@ -357,7 +420,8 @@ impl Tlb {
     pub fn flush(&mut self) -> usize {
         let mut dropped = 0;
         for slot in &mut self.slots {
-            if slot.take().is_some() {
+            if slot.is_live() {
+                *slot = TlbEntry::EMPTY;
                 dropped += 1;
             }
         }
@@ -372,9 +436,9 @@ impl Tlb {
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
         let mut dropped = 0;
         for slot in &mut self.slots {
-            if matches!(slot, Some(e) if e.asid == asid) {
-                let e = slot.take().expect("matched above");
-                self.present[size_rank(e.size)] -= 1;
+            if slot.is_live() && slot.asid == asid {
+                self.present[size_rank(slot.size)] -= 1;
+                *slot = TlbEntry::EMPTY;
                 dropped += 1;
             }
         }
@@ -384,14 +448,14 @@ impl Tlb {
 
     /// Number of valid entries currently resident.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|e| e.is_some()).count()
+        self.slots.iter().filter(|e| e.is_live()).count()
     }
 
     /// Number of valid entries belonging to address space `asid`.
     pub fn occupancy_of(&self, asid: Asid) -> usize {
         self.slots
             .iter()
-            .filter(|e| matches!(e, Some(e) if e.asid == asid))
+            .filter(|e| e.is_live() && e.asid == asid)
             .count()
     }
 }
@@ -563,14 +627,14 @@ impl TlbHierarchy {
         } else {
             &self.l1_4k
         };
-        let entry = (*bank.slots.get(s.slot as usize)?)?;
-        if entry.asid != asid || entry.vpn != va.page_number(entry.size).number() {
+        let entry = bank.slots.get(s.slot as usize)?;
+        if !entry.covers(asid, va) {
             return None;
         }
         if s.huge_bank && self.l1_4k.would_hit(asid, va) {
             return None;
         }
-        Some(entry.mapping)
+        Some(entry.mapping())
     }
 
     /// Looks up `va` in address space `asid`. On a hit, returns the
@@ -685,6 +749,56 @@ mod tests {
             vaddr: VirtAddr::new(va).page_base(size),
             paddr: PhysAddr::new(0x1_0000_0000 + va),
             page_size: size,
+        }
+    }
+
+    fn rejection(cfg: TlbConfig) -> String {
+        cfg.validate()
+            .expect_err("geometry must be rejected")
+            .to_string()
+    }
+
+    #[test]
+    fn zero_ways_are_rejected() {
+        let e = rejection(TlbConfig::new("T", 16, 0, 1, &[PageSize::Size4K]));
+        assert!(e.contains("\"T\": ways must be 1 to 64, got 0"), "{e}");
+    }
+
+    #[test]
+    fn more_than_64_ways_are_rejected() {
+        let e = rejection(TlbConfig::new("T", 130, 65, 1, &[PageSize::Size4K]));
+        assert!(e.contains("ways must be 1 to 64, got 65"), "{e}");
+    }
+
+    #[test]
+    fn entries_that_are_not_whole_sets_are_rejected() {
+        for entries in [0, 6, 17] {
+            let e = rejection(TlbConfig::new("T", entries, 4, 1, &[PageSize::Size4K]));
+            assert!(e.contains("\"T\": entries"), "{e}");
+        }
+    }
+
+    #[test]
+    fn empty_page_sizes_are_rejected() {
+        let e = rejection(TlbConfig::new("T", 16, 4, 1, &[]));
+        assert!(e.contains("\"T\": page_sizes"), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "entries must be a non-zero multiple of ways (4), got 6")]
+    fn tlb_new_panics_with_the_validation_message() {
+        Tlb::new(TlbConfig::new("T", 6, 4, 1, &[PageSize::Size4K]));
+    }
+
+    #[test]
+    fn every_shipped_config_validates() {
+        for h in [
+            TlbHierarchyConfig::paper_baseline(),
+            TlbHierarchyConfig::small_test(),
+        ] {
+            for cfg in [&h.l1_4k, &h.l1_2m, &h.l2] {
+                assert_eq!(cfg.validate(), Ok(()), "{}", cfg.name);
+            }
         }
     }
 

@@ -58,6 +58,12 @@ pub struct CoreStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CoreModel {
     config: CoreConfig,
+    /// `1000 / compute_ipc`: one instruction's issue cost in 1/1000 cycles
+    /// (`1.0 * 1000.0` is exact, so this equals the per-count formula at
+    /// a count of 1).
+    issue_x1000: f64,
+    /// `1 - memory_overlap`: the share of memory latency left exposed.
+    exposed_share: f64,
     cycles_x1000: u64,
     stats: CoreStats,
     /// When `true`, retired work is attributed to the kernel stream.
@@ -68,6 +74,8 @@ impl CoreModel {
     /// Creates a core model.
     pub fn new(config: CoreConfig) -> Self {
         CoreModel {
+            issue_x1000: 1000.0 / config.compute_ipc,
+            exposed_share: 1.0 - config.memory_overlap,
             config,
             cycles_x1000: 0,
             stats: CoreStats::default(),
@@ -140,19 +148,20 @@ impl CoreModel {
 
     /// Retires `count` non-memory instructions.
     pub fn retire_compute(&mut self, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let cycles_x1000 = (count as f64 * 1000.0 / self.config.compute_ipc) as u64;
+        let cycles_x1000 = match count {
+            0 => return,
+            1 => self.issue_x1000 as u64,
+            _ => (count as f64 * 1000.0 / self.config.compute_ipc) as u64,
+        };
         self.advance(cycles_x1000, count);
     }
 
     /// Retires one memory instruction whose memory-system latency was
     /// `latency`; the out-of-order window hides `memory_overlap` of it.
     pub fn retire_memory(&mut self, latency: Cycles) {
-        let exposed = latency.raw() as f64 * (1.0 - self.config.memory_overlap);
+        let exposed = latency.raw() as f64 * self.exposed_share;
         // The instruction itself also occupies an issue slot.
-        let cycles_x1000 = (exposed * 1000.0) as u64 + (1000.0 / self.config.compute_ipc) as u64;
+        let cycles_x1000 = (exposed * 1000.0) as u64 + self.issue_x1000 as u64;
         self.advance(cycles_x1000, 1);
     }
 
@@ -239,6 +248,28 @@ mod tests {
         });
         core.retire_compute(2000);
         assert!((core.elapsed_ns() - 1000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn hoisted_constants_match_the_per_instruction_formulas() {
+        for compute_ipc in [0.3, 1.0, 2.5, 3.0, 7.0] {
+            for memory_overlap in [0.0, 0.35, 0.9] {
+                let mut core = CoreModel::new(CoreConfig {
+                    compute_ipc,
+                    memory_overlap,
+                    frequency: Frequency::from_ghz(1.0),
+                });
+                core.retire_compute(1);
+                let mut expected = (1.0 * 1000.0 / compute_ipc) as u64;
+                assert_eq!(core.cycles_x1000, expected);
+                for latency in [0, 1, 37, 412] {
+                    core.retire_memory(Cycles::new(latency));
+                    let exposed = latency as f64 * (1.0 - memory_overlap);
+                    expected += (exposed * 1000.0) as u64 + (1000.0 / compute_ipc) as u64;
+                    assert_eq!(core.cycles_x1000, expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -324,7 +324,7 @@ fn root_ids(graph: &Graph<'_>, roots: &[(&str, Option<&str>)]) -> Vec<FnId> {
     let mut ids = Vec::new();
     for (id, (_, f)) in graph.fns.iter().enumerate() {
         if roots.iter().any(|(name, ty)| {
-            f.name == *name && ty.map_or(true, |t| f.impl_type.as_deref() == Some(t))
+            f.name == *name && ty.is_none_or(|t| f.impl_type.as_deref() == Some(t))
         }) {
             ids.push(id);
         }
@@ -336,7 +336,7 @@ fn root_ids(graph: &Graph<'_>, roots: &[(&str, Option<&str>)]) -> Vec<FnId> {
 fn check_r1(graph: &Graph<'_>, diags: &mut Vec<Diagnostic>) {
     let roots = root_ids(graph, R1_ROOTS);
     let parents = graph.reach(&roots, R1_NO_ALLOC);
-    for (&id, _) in &parents {
+    for &id in parents.keys() {
         let (fs, f) = graph.fns[id];
         for call in &f.calls {
             let offense = match &call.callee {
@@ -441,7 +441,7 @@ fn check_r3(files: &[FileScan], diags: &mut Vec<Diagnostic>) {
 fn check_r4(graph: &Graph<'_>, diags: &mut Vec<Diagnostic>) {
     let roots = root_ids(graph, R4_ROOTS);
     let parents = graph.reach(&roots, R4_EPOCH_SAFETY);
-    for (&id, _) in &parents {
+    for &id in parents.keys() {
         let (fs, f) = graph.fns[id];
         for field in &f.fields {
             if !R4_SHARED_FIELDS.contains(&field.name.as_str()) {

@@ -425,12 +425,8 @@ fn parse_impl_header(toks: &[Token], i: usize) -> (Option<String>, usize) {
         match t.kind {
             TokKind::Punct => match t.text.as_bytes()[0] {
                 b'<' => angle += 1,
-                b'>' => {
-                    // `->` in a trait bound (`Fn() -> T`): not a close.
-                    if !toks[j - 1].is_punct('-') {
-                        angle -= 1;
-                    }
-                }
+                // `->` in a trait bound (`Fn() -> T`): not a close.
+                b'>' if !toks[j - 1].is_punct('-') => angle -= 1,
                 b'(' => paren += 1,
                 b')' => paren -= 1,
                 _ => {}
@@ -580,9 +576,10 @@ fn parse_struct(
                 let tt = &toks[k];
                 if tt.is_punct('<') || tt.is_punct('(') || tt.is_punct('[') {
                     depth += 1;
-                } else if tt.is_punct(')') || tt.is_punct(']') {
-                    depth -= 1;
-                } else if tt.is_punct('>') && !toks[k - 1].is_punct('-') {
+                } else if tt.is_punct(')')
+                    || tt.is_punct(']')
+                    || (tt.is_punct('>') && !toks[k - 1].is_punct('-'))
+                {
                     depth -= 1;
                 } else if tt.is_punct(',') && depth == 0 {
                     break;
@@ -641,11 +638,7 @@ fn parse_fn(
                 b'[' => bracket += 1,
                 b']' => bracket -= 1,
                 b'<' => angle += 1,
-                b'>' => {
-                    if !toks[j - 1].is_punct('-') {
-                        angle -= 1;
-                    }
-                }
+                b'>' if !toks[j - 1].is_punct('-') => angle -= 1,
                 b'{' if paren == 0 && bracket == 0 && angle <= 0 => {
                     body_open = Some(j);
                     break;
