@@ -1,11 +1,11 @@
-//! The multi-core differential fence (PR-6 tentpole).
+//! The multi-core differential fence.
 //!
-//! The sharded multi-core loop ([`System::run_multiprogram_sharded`]) is a
-//! superset of the legacy single-core model: at `num_cores = 1` it must
-//! reproduce the legacy [`System::run_multiprogram`] path **byte for
-//! byte** — same dispatches, same preemption points, same charged cycle on
-//! every instruction — for every translation engine. That differential is
-//! the fence that lets the multi-core machinery evolve without silently
+//! [`System::run_multiprogram`] runs one loop at every core count. At
+//! `num_cores = 1` it must reproduce the retired legacy single-core
+//! scheduler loop **byte for byte** — same dispatches, same preemption
+//! points, same charged cycle on every instruction — for every
+//! translation engine. Goldens blessed from that loop before its deletion
+//! hold the line, so the multi-core machinery can evolve without silently
 //! perturbing the single-core results all the paper's experiments (and
 //! golden reports) are built on.
 //!
@@ -74,7 +74,6 @@ fn run_mix(
     pids: &[ProcessId],
     specs: &[WorkloadSpec],
     seed: u64,
-    sharded: bool,
 ) -> MultiProgramReport {
     let mut sources: Vec<_> = specs.iter().map(|s| s.build(seed)).collect();
     let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
@@ -82,36 +81,40 @@ fn run_mix(
         .copied()
         .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
         .collect();
-    if sharded {
-        system.run_multiprogram_sharded(&mut programs, None)
-    } else {
-        system.run_multiprogram(&mut programs, None)
-    }
+    system.run_multiprogram(&mut programs, None)
 }
 
-/// The fence itself: a `num_cores = 1` run through the sharded multi-core
-/// loop serializes byte-identically to the legacy single-core loop, for
-/// every translation engine, on the catalogue's engine mix.
+/// The single-core fence: a `num_cores = 1` multiprogram run reproduces,
+/// byte for byte, the reports of the retired legacy single-core scheduler
+/// loop, for every translation engine, on the catalogue's engine mix. The
+/// goldens (`tests/golden/single_core_mix_<engine>.json`) were blessed
+/// from that loop before it was deleted; regenerate them only after an
+/// intentional behaviour change, with `VIRTUOSO_BLESS_GOLDEN=1`.
 #[test]
 fn single_core_sharded_run_is_byte_identical_to_legacy() {
+    let bless = std::env::var_os("VIRTUOSO_BLESS_GOLDEN").is_some();
     let specs: Vec<WorkloadSpec> = catalog::multiprogram_mix_engines()
         .into_iter()
         .map(|s| s.with_instructions(6_000))
         .collect();
     for (name, config) in engine_cells() {
         assert_eq!(config.os.num_cores, 1, "{name}: fence runs at one core");
-        let (mut legacy_sys, pids) = build_multiprocess(config.clone(), &specs);
-        let legacy = run_mix(&mut legacy_sys, &pids, &specs, 0xD1FF, false);
-
-        let (mut sharded_sys, pids) = build_multiprocess(config, &specs);
-        let sharded = run_mix(&mut sharded_sys, &pids, &specs, 0xD1FF, true);
-
-        let legacy_json = serde_json::to_string(&legacy).unwrap();
-        let sharded_json = serde_json::to_string(&sharded).unwrap();
+        let (mut system, pids) = build_multiprocess(config, &specs);
+        let report = run_mix(&mut system, &pids, &specs, 0xD1FF);
+        let actual = serde_json::to_string(&report).unwrap();
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("single_core_mix_{name}.json"));
+        if bless {
+            std::fs::write(&path, &actual).expect("write golden");
+            continue;
+        }
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
         assert_eq!(
-            legacy_json, sharded_json,
-            "engine {name}: the sharded loop diverged from the legacy \
-             single-core model at num_cores = 1"
+            actual, expected,
+            "engine {name}: the one-core run diverged from the legacy \
+             single-core model"
         );
     }
 }
@@ -185,7 +188,7 @@ fn two_core_pressure_run_reports_cross_core_ipi_work() {
     assert_eq!(system.core_of(pids[0]), 0);
     assert_eq!(system.core_of(pids[1]), 1);
 
-    let report = run_mix(&mut system, &pids, &specs, 0xC0DE, true);
+    let report = run_mix(&mut system, &pids, &specs, 0xC0DE);
 
     assert_eq!(report.rollup.instructions, 16_000);
     assert!(report.rollup.swapped_pages > 0, "pressure must swap");
@@ -232,7 +235,7 @@ fn multicore_runs_are_bit_identical_across_repeats() {
     let mut reports = Vec::new();
     for _ in 0..3 {
         let (mut system, pids) = build_multiprocess(pressure_config(cores), &specs);
-        let report = run_mix(&mut system, &pids, &specs, 0xDE7, true);
+        let report = run_mix(&mut system, &pids, &specs, 0xDE7);
         reports.push(serde_json::to_string(&report).unwrap());
     }
     assert_eq!(
@@ -282,7 +285,7 @@ fn per_core_cycles_are_fully_attributed_to_the_pinned_process() {
     // would legitimately advance a core past its process's share.
     config.housekeeping_interval = 0;
     let (mut system, pids) = build_multiprocess(config, &specs);
-    let report = run_mix(&mut system, &pids, &specs, 0xACC7, true);
+    let report = run_mix(&mut system, &pids, &specs, 0xACC7);
 
     for process in &report.processes {
         let core = system.core_of(ProcessId(process.pid));
@@ -313,7 +316,7 @@ fn reports_are_byte_identical_across_host_thread_counts() {
         for threads in [1usize, 2, CORES] {
             let config = config.clone().with_host_threads(threads);
             let (mut system, pids) = build_multiprocess(config, &specs);
-            let report = run_mix(&mut system, &pids, &specs, 0x7A4D, true);
+            let report = run_mix(&mut system, &pids, &specs, 0x7A4D);
             assert!(
                 system.epochs_run() > 0,
                 "engine {name}, {threads} host threads: the epoch planner \
@@ -345,7 +348,7 @@ fn pressure_runs_are_byte_identical_across_host_thread_counts() {
     for threads in [1usize, CORES] {
         let config = pressure_config(CORES).with_host_threads(threads);
         let (mut system, pids) = build_multiprocess(config, &specs);
-        let report = run_mix(&mut system, &pids, &specs, 0xD1FF, true);
+        let report = run_mix(&mut system, &pids, &specs, 0xD1FF);
         let json = serde_json::to_string(&report).unwrap();
         match &baseline {
             None => baseline = Some(json),
@@ -355,24 +358,4 @@ fn pressure_runs_are_byte_identical_across_host_thread_counts() {
             ),
         }
     }
-}
-
-/// `run_multiprogram` itself dispatches to the sharded loop when the
-/// config asks for more than one core — the public API needs no separate
-/// entry point.
-#[test]
-fn run_multiprogram_dispatches_to_the_sharded_loop_on_multicore_configs() {
-    let cores = sweep_cores().max(2);
-    let specs = pressure_specs(2, 4_000);
-
-    let (mut via_dispatch, pids) = build_multiprocess(pressure_config(cores), &specs);
-    let a = run_mix(&mut via_dispatch, &pids, &specs, 0xABCD, false);
-
-    let (mut direct, pids) = build_multiprocess(pressure_config(cores), &specs);
-    let b = run_mix(&mut direct, &pids, &specs, 0xABCD, true);
-
-    assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap()
-    );
 }
