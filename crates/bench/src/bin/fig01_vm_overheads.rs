@@ -1,4 +1,4 @@
-//! Regenerates Figure 1 of the Virtuoso paper (see EXPERIMENTS.md).
+//! Regenerates Figure 1 of the Virtuoso paper (see README.md § "Reproducing the paper's figures").
 //! Usage: `cargo run --release -p virtuoso_bench --bin fig01_vm_overheads [scale]`
 
 fn main() {

@@ -1,4 +1,4 @@
-//! Regenerates Figure 16 of the Virtuoso paper (see EXPERIMENTS.md).
+//! Regenerates Figure 16 of the Virtuoso paper (see README.md § "Reproducing the paper's figures").
 //! Usage: `cargo run --release -p virtuoso_bench --bin fig16_llm_alloc_policies [scale]`
 
 fn main() {

@@ -1,4 +1,4 @@
-//! Regenerates Figure 17 of the Virtuoso paper (see EXPERIMENTS.md).
+//! Regenerates Figure 17 of the Virtuoso paper (see README.md § "Reproducing the paper's figures").
 //! Usage: `cargo run --release -p virtuoso_bench --bin fig17_midgard_breakdown [scale]`
 
 fn main() {

@@ -1,4 +1,4 @@
-//! Regenerates Figure 21 of the Virtuoso paper (see EXPERIMENTS.md).
+//! Regenerates Figure 21 of the Virtuoso paper (see README.md § "Reproducing the paper's figures").
 //! Usage: `cargo run --release -p virtuoso_bench --bin fig21_rmm_conflicts [scale]`
 
 fn main() {

@@ -1,9 +1,9 @@
 //! One experiment per table/figure of the paper's evaluation section.
 //!
 //! Each function regenerates the corresponding figure's rows/series with a
-//! scaled-down instruction budget (see EXPERIMENTS.md for the mapping and
-//! the observed shapes). The `scale` parameter multiplies the per-workload
-//! instruction budget; `1` is the quick default.
+//! scaled-down instruction budget (README.md § "Reproducing the paper's
+//! figures" maps figures to binaries). The `scale` parameter multiplies the
+//! per-workload instruction budget; `1` is the quick default.
 
 use crate::runner::{run_spec, run_spec_with_config, ExperimentTable};
 use mimic_os::{AllocationPolicy, OsConfig, ThpConfig, ThpMode};
@@ -153,7 +153,8 @@ pub fn fig03_ptw_variation(scale: u64) -> ExperimentTable {
 }
 
 /// Builds the calibrated reference machine for a long-running workload (the
-/// stand-in for the paper's real-system measurement; see DESIGN.md §1).
+/// stand-in for the paper's real-system measurement; see the substitution
+/// note of `virtuoso::validation`).
 fn reference_for(spec: &WorkloadSpec, scale: u64) -> (ReferenceMachine, f64, f64) {
     // The reference is the detailed simulator itself at the same scale; the
     // two estimators compared against it are the detailed model with a

@@ -207,8 +207,8 @@ pub fn run_cells(cells: &[ExperimentCell], base_seed: u64, jobs: usize) -> Vec<S
 }
 
 /// One multi-programmed experiment cell: a (workload mix × configuration)
-/// point. The configuration's `num_cores` decides whether the mix runs on
-/// the legacy single-core loop or the sharded multi-core loop.
+/// point. The configuration's `num_cores` decides how many simulated cores
+/// the mix is spread over.
 #[derive(Debug, Clone)]
 pub struct MultiProgramCell {
     /// Label used in tables (e.g. `"RND+STR/2core"`).

@@ -76,7 +76,7 @@ pub struct SystemConfig {
     /// violation; it is a debugging and chaos-testing aid, not part of the
     /// simulated machine.
     pub invariant_check_interval: u64,
-    /// Host threads the sharded multi-core loop steps simulated cores on
+    /// Host threads the multiprogram loop steps simulated cores on
     /// (clamped to `[1, num_cores]` at run time). This is a *host*
     /// performance knob, not part of the simulated machine: any value
     /// produces bit-identical [`SimulationReport`](crate::report::SimulationReport)s — parallel epochs
@@ -187,7 +187,7 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the number of host threads the sharded multi-core loop steps
+    /// Sets the number of host threads the multiprogram loop steps
     /// simulated cores on, keeping everything else identical. Reports are
     /// bit-identical for every value — this knob trades host CPU for wall
     /// clock, never simulated behaviour.

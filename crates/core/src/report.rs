@@ -598,8 +598,10 @@ mod tests {
         assert!(json.contains("\"per_core\":"));
         assert!(json.contains("\"ipi_stall_cycles\":1800"));
         let table = r.to_table();
-        assert!(table.contains("core0_ipis_sent"));
-        assert!(table.contains("core1_ipi_stall_cycles"));
+        for core in 0..2 {
+            assert!(table.contains(&format!("core{core}_ipis_sent")));
+            assert!(table.contains(&format!("core{core}_ipi_stall_cycles")));
+        }
         assert!(!r.shootdowns.unwrap().is_zero());
     }
 

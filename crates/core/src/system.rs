@@ -74,10 +74,20 @@ struct CoreState {
 struct LocalTranslation {
     paddr: Option<PhysAddr>,
     fixed_latency: Cycles,
-    /// Cycles beyond the 1-cycle L1 TLB probe (address translation
-    /// overhead), exactly as the inline path accumulates them.
-    penalty_cycles: u64,
     walk: Option<WalkOutcome>,
+}
+
+/// The cost of one memory access, accumulated across its translation
+/// attempts and credited once.
+#[derive(Debug, Default)]
+struct AccessCost {
+    /// Latency the access exposes to the core so far.
+    latency: Cycles,
+    /// Cycles beyond the 1-cycle L1 TLB probe (address translation
+    /// overhead).
+    translation_cycles: u64,
+    ptw_latency: u64,
+    ptw_count: u64,
 }
 
 /// One memory access executed core-locally during a parallel epoch slice,
@@ -104,8 +114,9 @@ struct SliceLog {
     fault: Option<DeferredAccess>,
 }
 
-/// Per-core plan and result of one parallel epoch, reused across epochs so
-/// the steady-state loop allocates nothing.
+/// One core's turn in [`System::run_multiprogram`] — an epoch slice, or
+/// a fallback `CORE_TICK` turn — reused across turns so the steady-state
+/// loop allocates nothing.
 #[derive(Debug)]
 struct EpochSlice {
     /// Whether this core runs a slice this epoch.
@@ -114,6 +125,8 @@ struct EpochSlice {
     /// Index into `programs` / the leftover queues.
     prog: usize,
     asid: Asid,
+    /// The most instructions this turn may run.
+    cap: u64,
     /// The core's cycle count when the slice was planned (after its
     /// dispatch context switch), for per-process cycle attribution.
     cycles_before: u64,
@@ -130,6 +143,7 @@ impl Default for EpochSlice {
             pid: ProcessId(0),
             prog: usize::MAX,
             asid: System::asid_of(ProcessId(0)),
+            cap: 0,
             cycles_before: 0,
             exhausted: false,
             instrs: Vec::new(),
@@ -138,35 +152,76 @@ impl Default for EpochSlice {
     }
 }
 
-/// A program's trace source with the unconsumed tail of a fault-truncated
-/// epoch slice queued back in front: instructions already pulled from the
-/// source replay before fresh ones, so slicing never reorders or drops
-/// trace instructions.
-struct ReplayFront<'a> {
-    pending: &'a mut VecDeque<Instruction>,
-    inner: &'a mut dyn TraceSource,
+impl EpochSlice {
+    /// Plans a turn of at most `cap` instructions of process `pid`
+    /// (program `prog`), clearing the previous turn.
+    fn plan(&mut self, pid: ProcessId, prog: usize, cap: u64) {
+        self.active = true;
+        self.pid = pid;
+        self.prog = prog;
+        self.asid = System::asid_of(pid);
+        self.cap = cap;
+        self.exhausted = false;
+        self.instrs.clear();
+        self.log.ran = 0;
+        self.log.accesses.clear();
+        self.log.fault = None;
+    }
+
+    /// Pulls the planned turn's instructions: the program's parked tail
+    /// first (so slicing never reorders or drops trace instructions), then
+    /// fresh ones from its source.
+    fn fill(&mut self, pending: &mut VecDeque<Instruction>, source: &mut dyn TraceSource) {
+        while (self.instrs.len() as u64) < self.cap {
+            match pending.pop_front().or_else(|| source.next_instruction()) {
+                Some(instr) => self.instrs.push(instr),
+                None => {
+                    self.exhausted = true;
+                    break;
+                }
+            }
+        }
+    }
 }
 
-impl TraceSource for ReplayFront<'_> {
+/// A borrowed run of instructions as a trace source: how [`System::step`]
+/// and the fallback round feed [`System::step_block`].
+struct Instrs<'a>(std::slice::Iter<'a, Instruction>);
+
+impl TraceSource for Instrs<'_> {
     fn next_instruction(&mut self) -> Option<Instruction> {
-        self.pending
-            .pop_front()
-            .or_else(|| self.inner.next_instruction())
+        self.0.next().copied()
     }
+}
+
+/// The per-run state of [`System::run_multiprogram`], kept apart from
+/// `System` so the loop's helpers borrow it alongside the machine.
+struct RunState<'p, 's> {
+    /// The `(pid, trace)` pairs being run.
+    programs: &'p mut [(ProcessId, &'s mut dyn TraceSource)],
+    /// Dense pid -> program-index map (`usize::MAX`: no trace).
+    program_of: Vec<usize>,
+    /// Fault-truncated epoch slices park their unconsumed tail here; every
+    /// turn drains it before pulling fresh instructions from the source.
+    pending: Vec<VecDeque<Instruction>>,
+    /// One turn per core.
+    slices: Vec<EpochSlice>,
+    limit: u64,
+    retired: u64,
+    /// Some process retired an instruction or exited this round.
+    progress: bool,
 }
 
 impl CoreState {
     /// The core-local half of one memory access: the L0 fast path, then the
     /// engine translation. Touches only this core's TLBs/PWCs/engine state,
-    /// so parallel epoch workers can run it without synchronization. The
-    /// accumulation mirrors [`System::memory_access`] byte for byte.
+    /// so parallel epoch workers can run it without synchronization.
     fn local_translate(&mut self, asid: Asid, vaddr: VirtAddr) -> LocalTranslation {
         if self.engine.uses_l0() {
             if let Some((pa, latency)) = self.mmu.l0_translate(asid, vaddr) {
                 return LocalTranslation {
                     paddr: Some(pa),
                     fixed_latency: latency,
-                    penalty_cycles: latency.raw().saturating_sub(1),
                     walk: None,
                 };
             }
@@ -175,7 +230,6 @@ impl CoreState {
         LocalTranslation {
             paddr: result.paddr,
             fixed_latency: result.fixed_latency,
-            penalty_cycles: result.fixed_latency.raw().saturating_sub(1),
             walk: result.walk,
         }
     }
@@ -211,59 +265,6 @@ impl CoreState {
     }
 }
 
-/// Projects core `$idx`'s state out of `$sys` as a shared borrow. A macro
-/// rather than a method so the borrow stays field-granular: `per_proc`,
-/// `shootdowns`, `os` and the rest of `System` remain independently
-/// borrowable alongside the returned reference.
-macro_rules! core_ref {
-    ($sys:expr, $idx:expr) => {{
-        let idx: usize = $idx;
-        if idx == 0 {
-            &$sys.core0
-        } else {
-            &$sys.extra_cores[idx - 1]
-        }
-    }};
-}
-
-/// [`core_ref!`], mutably.
-macro_rules! core_mut {
-    ($sys:expr, $idx:expr) => {{
-        let idx: usize = $idx;
-        if idx == 0 {
-            &mut $sys.core0
-        } else {
-            &mut $sys.extra_cores[idx - 1]
-        }
-    }};
-}
-
-/// The active core, shared. `$pin` is the `PIN0` const of the enclosing
-/// stepping function: when `true` (the single-core run loops) the
-/// projection constant-folds to the inline `core0` field, so the
-/// instruction loop pays no `active` load or branch — the exact code the
-/// machine ran before it grew multiple cores.
-macro_rules! active_ref {
-    ($sys:expr, $pin:expr) => {{
-        if $pin {
-            &$sys.core0
-        } else {
-            core_ref!($sys, $sys.active)
-        }
-    }};
-}
-
-/// [`active_ref!`], mutably.
-macro_rules! active_mut {
-    ($sys:expr, $pin:expr) => {{
-        if $pin {
-            &mut $sys.core0
-        } else {
-            core_mut!($sys, $sys.active)
-        }
-    }};
-}
-
 /// The full simulated machine.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -272,16 +273,10 @@ pub struct System {
     config: SystemConfig,
     caches: CacheHierarchy,
     dram: DramModel,
-    /// Core 0's translation frontend + timing model, stored inline: the
-    /// single-core instruction loop reaches all its state at fixed
-    /// offsets from `self`, exactly as it did before the machine grew
-    /// multiple cores (measured: routing core 0 through a `Vec` cost
-    /// 5–9% sustained MIPS across every single-core workload).
-    core0: CoreState,
-    /// Cores 1..N of a multi-core machine (empty at `num_cores = 1`).
-    extra_cores: Vec<CoreState>,
-    /// The core the convenience stepping API drives; the sharded
-    /// multi-core loop rotates it round-robin.
+    /// Each simulated core's translation frontend and timing model.
+    cores: Vec<CoreState>,
+    /// The core the stepping API drives; the multiprogram loop rotates it
+    /// round-robin.
     active: usize,
     os: MimicOs,
     /// The first process, used by the single-process convenience API.
@@ -321,10 +316,10 @@ pub struct System {
     /// (reclaim shootdowns, OOM kills) slips into an epoch the headroom
     /// check declared safe.
     epoch_replay: bool,
-    /// Planned epochs the sharded loop executed (as opposed to legacy
-    /// one-`CORE_TICK` rounds). Not part of any report — exposed through
-    /// [`System::epochs_run`] so tests can assert the epoch path actually
-    /// engaged rather than silently falling back.
+    /// Planned epochs the multiprogram loop executed (as opposed to
+    /// fallback one-`CORE_TICK` rounds). Not part of any report — exposed
+    /// through [`System::epochs_run`] so tests can assert the epoch path
+    /// actually engaged rather than silently falling back.
     epochs_run: u64,
 }
 
@@ -345,9 +340,7 @@ impl System {
             engine: TranslationEngine::new(config.engine),
             // With `pid % num_cores` pinning, the first process
             // dispatched on core `c` is pid `c`, so seeding `current`
-            // this way avoids a spurious boot-time context switch —
-            // exactly the legacy `current = primary` semantics at
-            // one core.
+            // this way avoids a spurious boot-time context switch.
             current: ProcessId(c),
             current_slot: c,
             translation_cycles: 0,
@@ -358,8 +351,7 @@ impl System {
         System {
             caches: CacheHierarchy::new(config.caches.clone()),
             dram: DramModel::new(config.dram.clone()),
-            core0: make_core(0),
-            extra_cores: (1..num_cores).map(make_core).collect(),
+            cores: (0..num_cores).map(make_core).collect(),
             active: 0,
             os,
             primary: pid,
@@ -395,22 +387,22 @@ impl System {
     /// statistics). Under the Midgard engine this is the Midgard-space
     /// backend the engine repurposes; see [`mmu_sim::MidgardEngine`].
     pub fn mmu(&self) -> &Mmu {
-        &self.core0.mmu
+        &self.cores[0].mmu
     }
 
     /// The translation engine of core 0 (for engine-specific statistics).
     pub fn engine(&self) -> &TranslationEngine {
-        &self.core0.engine
+        &self.cores[0].engine
     }
 
     /// Core `core`'s private TLB-and-page-table state.
     pub fn mmu_of(&self, core: usize) -> &Mmu {
-        &core_ref!(self, core).mmu
+        &self.cores[core].mmu
     }
 
     /// Core `core`'s translation engine.
     pub fn engine_of(&self, core: usize) -> &TranslationEngine {
-        &core_ref!(self, core).engine
+        &self.cores[core].engine
     }
 
     /// The DRAM model (for row-buffer statistics).
@@ -420,22 +412,17 @@ impl System {
 
     /// The core model of core 0.
     pub fn core(&self) -> &CoreModel {
-        &self.core0.core
+        &self.cores[0].core
     }
 
     /// The core model of core `core`.
     pub fn core_model_of(&self, core: usize) -> &CoreModel {
-        &core_ref!(self, core).core
+        &self.cores[core].core
     }
 
     /// Number of simulated cores.
     pub fn num_cores(&self) -> usize {
-        1 + self.extra_cores.len()
-    }
-
-    /// Iterates the per-core state, core 0 first.
-    fn each_core(&self) -> impl Iterator<Item = &CoreState> {
-        std::iter::once(&self.core0).chain(self.extra_cores.iter())
+        self.cores.len()
     }
 
     /// The core a process is pinned to (`pid % num_cores`).
@@ -450,7 +437,7 @@ impl System {
 
     /// The process currently holding core 0.
     pub fn current_pid(&self) -> ProcessId {
-        self.core0.current
+        self.cores[0].current
     }
 
     /// The ASID of a process.
@@ -484,7 +471,7 @@ impl System {
         self.oom_failures
     }
 
-    /// Planned multi-instruction epochs the sharded multi-core loop has
+    /// Planned multi-instruction epochs the multiprogram loop has
     /// executed (zero when every round fell back to the serial
     /// one-`CORE_TICK` schedule — under memory pressure, fault injection
     /// or an armed coherence fence). Diagnostic only; never serialized
@@ -591,7 +578,7 @@ impl System {
     fn engine_note_mapped_region(&mut self, pid: ProcessId, start: VirtAddr, len: u64) {
         let asid = Self::asid_of(pid);
         let core = self.core_of(pid);
-        let c = core_mut!(self, core);
+        let c = &mut self.cores[core];
         c.engine.note_vma(asid, start, len);
         c.engine.note_ranges(asid, self.os.ranges(pid));
     }
@@ -616,7 +603,7 @@ impl System {
             while offset < len {
                 let va = start.add(offset);
                 if let Some(existing) = self.os.process(pid).lookup_mapping(va) {
-                    let c = core_mut!(self, home);
+                    let c = &mut self.cores[home];
                     c.engine.handle_fault_install(
                         &mut c.mmu,
                         asid,
@@ -636,7 +623,7 @@ impl System {
                         // time — populate charges nothing by design).
                         self.apply_invalidations_from(home, &outcome.invalidations, false);
                         self.process_oom_kills(false);
-                        let c = core_mut!(self, home);
+                        let c = &mut self.cores[home];
                         c.engine
                             .handle_fault_install(&mut c.mmu, asid, &outcome.mapping, info);
                         for extra in &outcome.additional_mappings {
@@ -675,21 +662,33 @@ impl System {
         max_instructions: Option<u64>,
     ) -> SimulationReport {
         self.workload_name = frontend.name().to_string();
-        let limit = max_instructions.unwrap_or(u64::MAX);
-        if self.extra_cores.is_empty() {
-            self.step_block::<true, T>(frontend, limit);
-        } else {
-            self.step_block::<false, T>(frontend, limit);
-        }
+        self.step_block(frontend, max_instructions.unwrap_or(u64::MAX));
         self.report()
     }
 
-    /// Runs several processes concurrently, interleaved by the MimicOS
-    /// round-robin scheduler: each runnable process executes up to one
+    /// Runs several processes on the system's simulated cores. Processes
+    /// are pinned by `pid % num_cores`; every core round-robins over its
+    /// own MimicOS run queue: each runnable process executes up to one
     /// quantum of its trace, then the kernel preempts it, the context
-    /// switch is charged (switch-code instruction stream, TLB flush policy)
-    /// and the next process takes the core. The run ends when every trace
-    /// is exhausted or `max_instructions` have retired in total.
+    /// switch is charged (switch-code instruction stream, TLB flush
+    /// policy) and the next process takes the core. Reclaim invalidations
+    /// broadcast shootdown IPIs from the faulting core to every other
+    /// core. The run ends when every trace is exhausted or
+    /// `max_instructions` have retired in total.
+    ///
+    /// Whenever no source of cross-core disturbance can fire mid-slice
+    /// (see `System::epoch_ready`), the loop runs *epochs*: each core
+    /// executes up to `CORE_TICK * EPOCH_TICKS` instructions against its
+    /// private translation state, and all shared-state work — page walks
+    /// through the caches, DRAM traffic, page faults, scheduling — resolves
+    /// serially at the epoch barrier in core-index order. With
+    /// `host_threads > 1` the per-core local phases run on host threads;
+    /// because they touch disjoint state and the barrier replay is a fixed
+    /// serial order, **every host-thread count produces bit-identical
+    /// reports** (the `multicore_differential` fence enforces this).
+    /// Otherwise the loop falls back to a serial `CORE_TICK` round-robin
+    /// round, which handles housekeeping ticks, the coherence fence, fault
+    /// injection and memory pressure at their exact instruction numbers.
     ///
     /// Every `(pid, source)` pair must name a process created by
     /// [`System::spawn_process`] (or [`System::pid`] for the first).
@@ -704,56 +703,33 @@ impl System {
         programs: &mut [(ProcessId, &mut dyn TraceSource)],
         max_instructions: Option<u64>,
     ) -> MultiProgramReport {
-        if !self.extra_cores.is_empty() {
-            return self.run_multiprogram_sharded(programs, max_instructions);
-        }
         let names = self.name_programs(programs);
-
-        let limit = max_instructions.unwrap_or(u64::MAX);
-        let mut retired_total = 0u64;
-        'outer: while retired_total < limit {
-            let Some(pid) = self.os.scheduler_mut().schedule() else {
+        let max_pid = programs.iter().map(|(pid, _)| pid.0).max().unwrap_or(0);
+        let mut program_of = vec![usize::MAX; max_pid + 1];
+        for (i, (pid, _)) in programs.iter().enumerate() {
+            program_of[pid.0] = i;
+        }
+        let mut run = RunState {
+            program_of,
+            pending: (0..programs.len()).map(|_| VecDeque::new()).collect(),
+            slices: (0..self.num_cores())
+                .map(|_| EpochSlice::default())
+                .collect(),
+            programs,
+            limit: max_instructions.unwrap_or(u64::MAX),
+            retired: 0,
+            progress: false,
+        };
+        while run.retired < run.limit {
+            run.progress = false;
+            if !(self.epoch_ready() && self.run_epoch(&mut run)) {
+                self.run_fallback_round(&mut run);
+            }
+            if !run.progress {
                 break; // every process exited
-            };
-            if pid != self.core0.current {
-                // Dispatch after an exit (or an externally spawned process):
-                // architecturally still a context switch.
-                self.apply_context_switch(ContextSwitch {
-                    from: self.core0.current,
-                    to: pid,
-                });
-            }
-            let Some((_, source)) = programs.iter_mut().find(|(p, _)| *p == pid) else {
-                // No trace for this process: it exits immediately.
-                self.os.scheduler_mut().exit(pid);
-                continue;
-            };
-
-            let quantum = self.os.scheduler().quantum();
-            // This legacy loop only runs single-core (the sharded loop
-            // handles `extra_cores`), so the pinned block applies. The
-            // block never runs past the quantum or the global limit, so
-            // preemption points match the per-step loop exactly.
-            let n = quantum.min(limit - retired_total);
-            let ran = self.step_block::<true, dyn TraceSource>(&mut **source, n);
-            let exhausted = ran < n;
-            retired_total += ran;
-            if retired_total >= limit {
-                if ran > 0 {
-                    self.os.scheduler_mut().account(ran);
-                }
-                break 'outer;
-            }
-            let expired = ran > 0 && self.os.scheduler_mut().account(ran);
-            if exhausted {
-                self.os.scheduler_mut().exit(pid);
-            } else if expired {
-                if let Some(switch) = self.os.scheduler_mut().preempt() {
-                    self.apply_context_switch(switch);
-                }
             }
         }
-
+        self.active = 0;
         self.multiprogram_report(&names)
     }
 
@@ -806,8 +782,8 @@ impl System {
     const EPOCH_TICKS: u64 = 16;
 
     /// Below this per-core slice length an epoch is not worth its planning
-    /// and barrier overhead; the loop falls back to one classic `CORE_TICK`
-    /// round instead (which is also how housekeeping ticks land at their
+    /// and barrier overhead; the loop runs one fallback `CORE_TICK` round
+    /// instead (which is also how housekeeping ticks land at their
     /// exact per-core instruction numbers).
     const MIN_EPOCH_SLICE: u64 = Self::CORE_TICK;
 
@@ -817,352 +793,229 @@ impl System {
     /// core count, since a slice stops at its first fault.
     const EPOCH_FAULT_ALLOC_BOUND: u64 = 4 << 20;
 
-    /// Runs several processes on the system's simulated cores: every core
-    /// round-robins over its own run queue (processes are pinned by
-    /// `pid % num_cores`), the cores interleave deterministically in fixed
-    /// slices, and reclaim invalidations broadcast shootdown IPIs from the
-    /// faulting core to every other core.
-    ///
-    /// Whenever no source of cross-core disturbance can fire mid-slice
-    /// (see `System::epoch_ready`), the loop runs *epochs*: each core
-    /// executes up to `CORE_TICK * EPOCH_TICKS` instructions against its
-    /// private translation state, and all shared-state work — page walks
-    /// through the caches, DRAM traffic, page faults, scheduling — resolves
-    /// serially at the epoch barrier in core-index order. With
-    /// `host_threads > 1` the per-core local phases run on host threads;
-    /// because they touch disjoint state and the barrier replay is a fixed
-    /// serial order, **every host-thread count produces bit-identical
-    /// reports** (the `multicore_differential` fence enforces this).
-    /// Otherwise the loop falls back to the classic serial `CORE_TICK`
-    /// round-robin round, which handles housekeeping ticks, the coherence
-    /// fence, fault injection and memory pressure exactly as before.
-    ///
-    /// With `num_cores = 1` this is semantically identical to the legacy
-    /// [`System::run_multiprogram`] loop — dispatches, preemption points
-    /// and every charged cycle land on the same instructions — which the
-    /// `multicore_differential` test fence pins byte-for-byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same `pid` appears twice in `programs`.
-    pub fn run_multiprogram_sharded(
-        &mut self,
-        programs: &mut [(ProcessId, &mut dyn TraceSource)],
-        max_instructions: Option<u64>,
-    ) -> MultiProgramReport {
-        let names = self.name_programs(programs);
-
-        let limit = max_instructions.unwrap_or(u64::MAX);
-        let num_cores = self.num_cores();
-        let host_threads = self.config.host_threads.clamp(1, num_cores);
-
-        // Dense pid -> program-index map: the legacy loop's per-turn linear
-        // scan over `programs` was measurable dispatch overhead at
-        // CORE_TICK granularity.
-        let max_pid = programs.iter().map(|(pid, _)| pid.0).max().unwrap_or(0);
-        let mut program_of = vec![usize::MAX; max_pid + 1];
-        for (i, (pid, _)) in programs.iter().enumerate() {
-            program_of[pid.0] = i;
+    /// Dispatches core `core` for its next turn: schedules its run queue,
+    /// charges the context switch to the incoming process, and exits a
+    /// process that has no trace. Returns the process holding the core and
+    /// its program index, or `None` when the core has nothing to run.
+    fn dispatch(&mut self, core: usize, run: &mut RunState) -> Option<(ProcessId, usize)> {
+        let pid = self.os.scheduler_mut().schedule_on(core)?;
+        self.active = core;
+        let current = self.cores[core].current;
+        if pid != current {
+            self.apply_context_switch(ContextSwitch {
+                from: current,
+                to: pid,
+            });
         }
-        // Fault-truncated epoch slices park their unconsumed tail here;
-        // both the epoch planner and the fallback rounds drain it before
-        // pulling fresh instructions from the source.
-        let mut pending: Vec<VecDeque<Instruction>> =
-            (0..programs.len()).map(|_| VecDeque::new()).collect();
-        let mut epoch: Vec<EpochSlice> = (0..num_cores).map(|_| EpochSlice::default()).collect();
+        match run.program_of.get(pid.0).copied() {
+            Some(prog) if prog != usize::MAX => Some((pid, prog)),
+            _ => {
+                // No trace for this process: it exits immediately.
+                self.os.scheduler_mut().exit(pid);
+                run.progress = true;
+                None
+            }
+        }
+    }
 
-        let mut retired_total = 0u64;
-        'outer: loop {
-            if retired_total >= limit {
+    /// Commits core `core`'s finished turn of `ran` instructions: charges
+    /// the turn's instructions and the cycles since `attribute_from` to the
+    /// process (fallback turns pass `None` — `step_block` attributed them
+    /// already), accounts the turn with the scheduler, then exits the
+    /// process when its trace is done or preempts it when its quantum
+    /// expired. The unconsumed tail of a fault-truncated slice is parked
+    /// for the program's next turn. Returns `true` once the run's
+    /// instruction budget is spent.
+    fn commit_turn(
+        &mut self,
+        core: usize,
+        ran: u64,
+        attribute_from: Option<u64>,
+        run: &mut RunState,
+    ) -> bool {
+        if let Some(cycles_before) = attribute_from {
+            self.attribute(core, ran, cycles_before);
+        }
+        let slice = &run.slices[core];
+        run.retired += ran;
+        let expired = ran > 0 && self.os.scheduler_mut().account_on(core, ran);
+        if run.retired >= run.limit {
+            return true;
+        }
+        if ran > 0 {
+            run.progress = true;
+        }
+        let consumed_all = ran == slice.instrs.len() as u64;
+        if slice.exhausted && consumed_all {
+            self.os.scheduler_mut().exit(slice.pid);
+        } else if expired {
+            if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
+                self.apply_context_switch(switch);
+            }
+        }
+        if !consumed_all {
+            run.pending[slice.prog].extend(&slice.instrs[ran as usize..]);
+        }
+        false
+    }
+
+    /// Runs one epoch: plan, local phase, barrier. Returns `false` — before
+    /// pulling any instruction — when some core's slice would be a runt,
+    /// so the caller runs a fallback round instead.
+    fn run_epoch(&mut self, run: &mut RunState) -> bool {
+        // ---- Plan (serial), in core order: dispatch and size every
+        // core's slice before pulling a single instruction, so a runt
+        // fallback strands nothing. Context switches apply here so the
+        // parallel phase sees post-dispatch translation state.
+        let interval = self.config.housekeeping_interval;
+        let mut budget = run.limit - run.retired;
+        for slice in &mut run.slices {
+            slice.active = false;
+        }
+        for core in 0..self.num_cores() {
+            if budget == 0 {
                 break;
             }
-            let mut any_progress = false;
-            let mut ran_epoch = false;
-
-            if self.epoch_ready() {
-                // ---- Plan (serial): dispatch and slice sizing, in core
-                // order. Context switches apply here so the parallel phase
-                // sees post-dispatch translation state.
-                let interval = self.config.housekeeping_interval;
-                let mut budget = limit - retired_total;
-                let mut runt = false;
-                for slice in epoch.iter_mut() {
-                    slice.active = false;
-                }
-                for (core, slice) in epoch.iter_mut().enumerate() {
-                    if budget == 0 {
-                        break;
-                    }
-                    let Some(pid) = self.os.scheduler_mut().schedule_on(core) else {
-                        continue; // this core's queue is empty
-                    };
-                    self.active = core;
-                    if pid != core_ref!(self, core).current {
-                        self.apply_context_switch(ContextSwitch {
-                            from: core_ref!(self, core).current,
-                            to: pid,
-                        });
-                    }
-                    let prog = program_of.get(pid.0).copied().unwrap_or(usize::MAX);
-                    if prog == usize::MAX {
-                        // No trace for this process: it exits immediately.
-                        self.os.scheduler_mut().exit(pid);
-                        any_progress = true;
-                        continue;
-                    }
-                    // Strictly below the housekeeping threshold: background
-                    // ticks (khugepaged collapses!) must never fire inside
-                    // an epoch, where their invalidations would reach cores
-                    // whose local phase already ran.
-                    let slack = if interval > 0 {
-                        (interval - core_ref!(self, core).instructions_since_housekeeping)
-                            .saturating_sub(1)
-                    } else {
-                        u64::MAX
-                    };
-                    let cap = (Self::CORE_TICK * Self::EPOCH_TICKS)
-                        .min(self.os.scheduler().remaining_quantum_on(core))
-                        .min(slack)
-                        .min(budget);
-                    if cap < Self::MIN_EPOCH_SLICE {
-                        runt = true;
-                        break;
-                    }
-                    budget -= cap;
-                    slice.active = true;
-                    slice.pid = pid;
-                    slice.prog = prog;
-                    slice.asid = Self::asid_of(pid);
-                    slice.exhausted = false;
-                    slice.cycles_before = 0;
-                    slice.instrs.clear();
-                    slice.log.ran = 0;
-                    slice.log.accesses.clear();
-                    slice.log.fault = None;
-                    // Pull the slice's instructions now (serially):
-                    // leftovers from a truncated predecessor first, then
-                    // the source.
-                    let queue = &mut pending[prog];
-                    while (slice.instrs.len() as u64) < cap {
-                        if let Some(instr) = queue.pop_front() {
-                            slice.instrs.push(instr);
-                            continue;
-                        }
-                        match programs[prog].1.next_instruction() {
-                            Some(instr) => slice.instrs.push(instr),
-                            None => {
-                                slice.exhausted = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-
-                if !runt {
-                    ran_epoch = true;
-                    self.epochs_run += 1;
-                    // Snapshot attribution baselines after every dispatch
-                    // switch has been charged.
-                    for (core, slice) in epoch.iter_mut().enumerate() {
-                        if slice.active {
-                            slice.cycles_before = core_ref!(self, core).core.cycles().raw();
-                        }
-                    }
-
-                    // ---- Parallel phase: each active core runs its slice
-                    // against private state only. With one host thread the
-                    // slice instead executes inline during the barrier
-                    // below, which is the same schedule by construction.
-                    if host_threads > 1 && epoch.iter().any(|s| s.active) {
-                        let mut cores: Vec<Option<&mut CoreState>> = Vec::with_capacity(num_cores);
-                        cores.push(Some(&mut self.core0));
-                        cores.extend(self.extra_cores.iter_mut().map(Some));
-                        let mut jobs: Vec<(&mut CoreState, Asid, &[Instruction], &mut SliceLog)> =
-                            Vec::new();
-                        for (core, slice) in epoch.iter_mut().enumerate() {
-                            if !slice.active {
-                                continue;
-                            }
-                            let state = cores[core].take().expect("one slice per core");
-                            jobs.push((state, slice.asid, &slice.instrs, &mut slice.log));
-                        }
-                        let buckets_n = host_threads.min(jobs.len());
-                        let mut buckets: Vec<Vec<_>> = (0..buckets_n).map(|_| Vec::new()).collect();
-                        for (i, job) in jobs.into_iter().enumerate() {
-                            buckets[i % buckets_n].push(job);
-                        }
-                        std::thread::scope(|scope| {
-                            let mut buckets = buckets.into_iter();
-                            let local = buckets.next();
-                            for bucket in buckets {
-                                scope.spawn(move || {
-                                    for (state, asid, instrs, log) in bucket {
-                                        state.run_slice_local(asid, instrs, log);
-                                    }
-                                });
-                            }
-                            // The calling thread works too instead of
-                            // blocking at the join.
-                            if let Some(bucket) = local {
-                                for (state, asid, instrs, log) in bucket {
-                                    state.run_slice_local(asid, instrs, log);
-                                }
-                            }
-                        });
-                    }
-
-                    // ---- Barrier (serial, core-index order): replay the
-                    // logged shared-state work, resolve faults, account and
-                    // reschedule. This is the only place shared machine
-                    // state moves, so its order — and therefore every
-                    // report — is independent of the host-thread count.
-                    for (core, slice) in epoch.iter_mut().enumerate() {
-                        if !slice.active {
-                            continue;
-                        }
-                        self.active = core;
-                        let ran_total = if host_threads > 1 {
-                            self.epoch_replay = true;
-                            for entry in &slice.log.accesses {
-                                self.replay_access(entry);
-                            }
-                            let mut ran = slice.log.ran;
-                            if let Some(entry) = slice.log.fault.take() {
-                                self.finish_faulted_access(&entry);
-                                ran += 1;
-                            }
-                            self.epoch_replay = false;
-                            ran
-                        } else {
-                            // Single host thread: execute the slice inline,
-                            // truncating after the first fault exactly
-                            // where a parallel worker would have stopped.
-                            let fault_before = self.fault_events;
-                            let mut ran = 0u64;
-                            for &instr in &slice.instrs {
-                                match instr.memory {
-                                    None => core_mut!(self, core).core.retire_compute(1),
-                                    Some((vaddr, kind)) => {
-                                        self.memory_access::<false>(instr.pc, vaddr, kind)
-                                    }
-                                }
-                                ran += 1;
-                                if self.fault_events != fault_before {
-                                    break;
-                                }
-                            }
-                            ran
-                        };
-
-                        {
-                            let c = core_mut!(self, core);
-                            let perf = &mut self.per_proc[c.current_slot];
-                            perf.instructions += ran_total;
-                            perf.cycles += c.core.cycles().raw() - slice.cycles_before;
-                            c.instructions_since_housekeeping += ran_total;
-                        }
-                        retired_total += ran_total;
-                        if retired_total >= limit {
-                            if ran_total > 0 {
-                                self.os.scheduler_mut().account_on(core, ran_total);
-                            }
-                            break 'outer;
-                        }
-                        if ran_total > 0 {
-                            any_progress = true;
-                        }
-                        let expired =
-                            ran_total > 0 && self.os.scheduler_mut().account_on(core, ran_total);
-                        let consumed_all = ran_total == slice.instrs.len() as u64;
-                        if slice.exhausted && consumed_all {
-                            self.os.scheduler_mut().exit(slice.pid);
-                        } else if expired {
-                            if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
-                                self.active = core;
-                                self.apply_context_switch(switch);
-                            }
-                        }
-                        if !consumed_all {
-                            // Fault truncation: park the unconsumed tail
-                            // for the next dispatch of this program.
-                            let queue = &mut pending[slice.prog];
-                            for instr in &slice.instrs[ran_total as usize..] {
-                                queue.push_back(*instr);
-                            }
-                        }
-                    }
-                }
+            let Some((pid, prog)) = self.dispatch(core, run) else {
+                continue;
+            };
+            // Strictly below the housekeeping threshold: background ticks
+            // (khugepaged collapses!) must never fire inside an epoch,
+            // where their invalidations would reach cores whose local
+            // phase already ran.
+            let slack = if interval > 0 {
+                (interval - self.cores[core].instructions_since_housekeeping).saturating_sub(1)
+            } else {
+                u64::MAX
+            };
+            let cap = (Self::CORE_TICK * Self::EPOCH_TICKS)
+                .min(self.os.scheduler().remaining_quantum_on(core))
+                .min(slack)
+                .min(budget);
+            if cap < Self::MIN_EPOCH_SLICE {
+                return false;
             }
-
-            if !ran_epoch {
-                // ---- Fallback: one classic serial CORE_TICK round-robin
-                // round. Runs whenever an epoch is unsafe (fence armed,
-                // fault injection, low memory headroom) or not worthwhile
-                // (a core is about to cross its housekeeping threshold),
-                // and fires those events at their exact per-core
-                // instruction numbers via step_block's chunk clamping.
-                for core in 0..num_cores {
-                    if retired_total >= limit {
-                        break 'outer;
-                    }
-                    let Some(pid) = self.os.scheduler_mut().schedule_on(core) else {
-                        continue; // this core's queue is empty
-                    };
-                    self.active = core;
-                    if pid != core_ref!(self, core).current {
-                        self.apply_context_switch(ContextSwitch {
-                            from: core_ref!(self, core).current,
-                            to: pid,
-                        });
-                    }
-                    let prog = program_of.get(pid.0).copied().unwrap_or(usize::MAX);
-                    if prog == usize::MAX {
-                        // No trace for this process: it exits immediately.
-                        self.os.scheduler_mut().exit(pid);
-                        any_progress = true;
-                        continue;
-                    }
-
-                    // Run one turn: at most CORE_TICK instructions, never
-                    // past the end of the quantum (so preemption points
-                    // match the single-core loop instruction-for-
-                    // instruction).
-                    let turn = Self::CORE_TICK.min(self.os.scheduler().remaining_quantum_on(core));
-                    let n = turn.min(limit - retired_total);
-                    let mut source = ReplayFront {
-                        pending: &mut pending[prog],
-                        inner: &mut *programs[prog].1,
-                    };
-                    let ran = self.step_block::<false, _>(&mut source, n);
-                    let exhausted = ran < n;
-                    retired_total += ran;
-                    if retired_total >= limit {
-                        if ran > 0 {
-                            self.os.scheduler_mut().account_on(core, ran);
-                        }
-                        break 'outer;
-                    }
-                    if ran > 0 {
-                        any_progress = true;
-                    }
-                    let expired = ran > 0 && self.os.scheduler_mut().account_on(core, ran);
-                    if exhausted {
-                        self.os.scheduler_mut().exit(pid);
-                    } else if expired {
-                        if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
-                            self.active = core;
-                            self.apply_context_switch(switch);
-                        }
-                    }
-                }
-            }
-            if !any_progress {
-                break; // every process exited
+            budget -= cap;
+            run.slices[core].plan(pid, prog, cap);
+        }
+        self.epochs_run += 1;
+        for (core, slice) in run.slices.iter_mut().enumerate() {
+            if slice.active {
+                slice.fill(
+                    &mut run.pending[slice.prog],
+                    &mut *run.programs[slice.prog].1,
+                );
+                // Attribution baseline: after every dispatch switch.
+                slice.cycles_before = self.cores[core].core.cycles().raw();
             }
         }
 
-        self.active = 0;
-        self.multiprogram_report(&names)
+        // ---- Parallel phase: each active core runs its slice against
+        // private state only. With one host thread the slice instead
+        // executes inline during the barrier below, which is the same
+        // schedule by construction.
+        let host_threads = self.config.host_threads.clamp(1, self.num_cores());
+        if host_threads > 1 {
+            let mut jobs: Vec<(&mut CoreState, &mut EpochSlice)> = self
+                .cores
+                .iter_mut()
+                .zip(run.slices.iter_mut())
+                .filter(|(_, slice)| slice.active)
+                .collect();
+            let run_jobs = |jobs: &mut [(&mut CoreState, &mut EpochSlice)]| {
+                for (state, slice) in jobs {
+                    state.run_slice_local(slice.asid, &slice.instrs, &mut slice.log);
+                }
+            };
+            if !jobs.is_empty() {
+                let per_thread = jobs.len().div_ceil(host_threads);
+                std::thread::scope(|scope| {
+                    let mut chunks = jobs.chunks_mut(per_thread);
+                    // The calling thread works too instead of blocking at
+                    // the join.
+                    let local = chunks.next();
+                    for chunk in chunks {
+                        scope.spawn(move || run_jobs(chunk));
+                    }
+                    if let Some(chunk) = local {
+                        run_jobs(chunk);
+                    }
+                });
+            }
+        }
+
+        // ---- Barrier (serial, core-index order): replay the logged
+        // shared-state work, resolve faults, commit. This is the only place
+        // shared machine state moves, so its order — and therefore every
+        // report — is independent of the host-thread count.
+        for core in 0..self.num_cores() {
+            let slice = &mut run.slices[core];
+            if !slice.active {
+                continue;
+            }
+            self.active = core;
+            let ran = if host_threads > 1 {
+                self.epoch_replay = true;
+                for entry in &slice.log.accesses {
+                    self.finish_access(entry.pc, entry.kind, &entry.translation);
+                }
+                let mut ran = slice.log.ran;
+                if let Some(entry) = slice.log.fault.take() {
+                    self.finish_faulted_access(&entry);
+                    ran += 1;
+                }
+                self.epoch_replay = false;
+                ran
+            } else {
+                // Single host thread: execute the slice inline, truncating
+                // after the first fault exactly where a parallel worker
+                // would have stopped.
+                let fault_before = self.fault_events;
+                let mut ran = 0u64;
+                for instr in &slice.instrs {
+                    self.execute(instr);
+                    ran += 1;
+                    if self.fault_events != fault_before {
+                        break;
+                    }
+                }
+                ran
+            };
+            let cycles_before = slice.cycles_before;
+            if self.commit_turn(core, ran, Some(cycles_before), run) {
+                break;
+            }
+        }
+        true
+    }
+
+    /// The fallback: one serial `CORE_TICK` round-robin round. Runs
+    /// whenever an epoch is unsafe (fence armed, fault injection, low
+    /// memory headroom) or not worthwhile (a core is about to cross its
+    /// housekeeping threshold), and fires those events at their exact
+    /// per-core instruction numbers via `step_block`'s chunk clamping.
+    fn run_fallback_round(&mut self, run: &mut RunState) {
+        for core in 0..self.num_cores() {
+            if run.retired >= run.limit {
+                return;
+            }
+            let Some((pid, prog)) = self.dispatch(core, run) else {
+                continue;
+            };
+            // At most CORE_TICK instructions, never past the end of the
+            // quantum, so preemption points match a whole-quantum turn
+            // instruction for instruction.
+            let cap = Self::CORE_TICK
+                .min(self.os.scheduler().remaining_quantum_on(core))
+                .min(run.limit - run.retired);
+            let slice = &mut run.slices[core];
+            slice.plan(pid, prog, cap);
+            slice.fill(&mut run.pending[prog], &mut *run.programs[prog].1);
+            let ran = self.step_block(&mut Instrs(slice.instrs.iter()), cap);
+            if self.commit_turn(core, ran, None, run) {
+                return;
+            }
+        }
     }
 
     /// `true` when the next multi-core interleave can run as an epoch:
@@ -1208,13 +1061,13 @@ impl System {
             SimulationMode::Emulation { .. } => {
                 // Emulation mode charges the switch as a fixed stall instead
                 // of simulating the switch code.
-                core_mut!(self, self.active)
+                self.cores[self.active]
                     .core
                     .stall(Cycles::new(u64::from(self.config.os.context_switch_cost)));
             }
         }
         self.ensure_perf_slot(switch.to);
-        let c = core_mut!(self, self.active);
+        let c = &mut self.cores[self.active];
         let dropped = c
             .engine
             .context_switch(&mut c.mmu, Self::asid_of(switch.to));
@@ -1229,10 +1082,7 @@ impl System {
     fn process_report(&self, pid: ProcessId, workload: String) -> ProcessReport {
         let perf = self.per_proc.get(pid.0).copied().unwrap_or_default();
         let home = self.core_of(pid);
-        let asid_stats = core_ref!(self, home)
-            .mmu
-            .stats()
-            .for_asid(Self::asid_of(pid));
+        let asid_stats = self.cores[home].mmu.stats().for_asid(Self::asid_of(pid));
         let process = self.os.process(pid);
         ProcessReport {
             pid: pid.0,
@@ -1273,33 +1123,27 @@ impl System {
     /// Executes one application instruction on the active core, attributing
     /// its cost to the process currently holding that core.
     pub fn step(&mut self, instr: &Instruction) {
-        self.step_impl::<false>(instr);
+        self.step_block(&mut Instrs(std::slice::from_ref(instr).iter()), 1);
     }
 
-    /// Runs up to `n` instructions from `frontend` through the pinned
-    /// step path, amortizing the per-instruction bookkeeping (perf
-    /// attribution, housekeeping counter) over chunks. Returns how many
-    /// instructions actually retired — fewer than `n` only when the
-    /// trace ends.
+    /// Runs up to `n` instructions from `frontend` on the active core,
+    /// amortizing the per-instruction bookkeeping (perf attribution,
+    /// housekeeping counter) over chunks. Returns how many instructions
+    /// actually retired — fewer than `n` only when the trace ends.
     ///
-    /// Semantically identical to `n` calls of [`System::step_impl`]: the
+    /// Semantically identical to `n` one-instruction blocks: the
     /// per-process cycle attribution telescopes (the active slot cannot
     /// change mid-block — only `apply_context_switch` moves it, and the
     /// step path never switches), and chunks are clamped to the
-    /// housekeeping slack so background ticks fire at exactly the same
-    /// instruction numbers as the per-step loop.
-    fn step_block<const PIN0: bool, T: TraceSource + ?Sized>(
-        &mut self,
-        frontend: &mut T,
-        n: u64,
-    ) -> u64 {
-        debug_assert!(!PIN0 || self.active == 0);
+    /// housekeeping and fence slack so background ticks and fence checks
+    /// fire at exactly the same instruction numbers.
+    fn step_block<T: TraceSource + ?Sized>(&mut self, frontend: &mut T, n: u64) -> u64 {
         let interval = self.config.housekeeping_interval;
         let fence_interval = self.config.invariant_check_interval;
         let mut stepped = 0u64;
         while stepped < n {
             let slack = if interval > 0 {
-                interval - active_ref!(self, PIN0).instructions_since_housekeeping
+                interval - self.cores[self.active].instructions_since_housekeeping
             } else {
                 u64::MAX
             };
@@ -1309,24 +1153,18 @@ impl System {
                 u64::MAX
             };
             let chunk = (n - stepped).min(slack).min(fence_slack);
-            let cycles_before = active_ref!(self, PIN0).core.cycles().raw();
+            let cycles_before = self.cores[self.active].core.cycles().raw();
             let mut ran = 0u64;
             while ran < chunk {
                 let Some(instr) = frontend.next_instruction() else {
                     break;
                 };
-                match instr.memory {
-                    None => active_mut!(self, PIN0).core.retire_compute(1),
-                    Some((vaddr, kind)) => self.memory_access::<PIN0>(instr.pc, vaddr, kind),
-                }
+                self.execute(&instr);
                 ran += 1;
             }
-            let c = active_mut!(self, PIN0);
-            let perf = &mut self.per_proc[c.current_slot];
-            perf.instructions += ran;
-            perf.cycles += c.core.cycles().raw() - cycles_before;
-            c.instructions_since_housekeeping += ran;
+            self.attribute(self.active, ran, cycles_before);
             stepped += ran;
+            let c = &mut self.cores[self.active];
             if interval > 0 && c.instructions_since_housekeeping >= interval {
                 c.instructions_since_housekeeping = 0;
                 self.housekeeping();
@@ -1345,54 +1183,39 @@ impl System {
         stepped
     }
 
-    /// [`System::step`], monomorphized over `PIN0`: the single-core run
-    /// loops instantiate `PIN0 = true`, pinning the active core to the
-    /// inline `core0` field at compile time (callers must guarantee
-    /// `active == 0`, which `extra_cores.is_empty()` implies).
-    fn step_impl<const PIN0: bool>(&mut self, instr: &Instruction) {
-        debug_assert!(!PIN0 || self.active == 0);
-        let cycles_before = active_ref!(self, PIN0).core.cycles().raw();
+    /// Executes one application instruction on the active core, without
+    /// the per-process bookkeeping (see [`System::attribute`]).
+    #[inline(always)]
+    fn execute(&mut self, instr: &Instruction) {
         match instr.memory {
-            None => active_mut!(self, PIN0).core.retire_compute(1),
-            Some((vaddr, kind)) => self.memory_access::<PIN0>(instr.pc, vaddr, kind),
+            None => self.cores[self.active].core.retire_compute(1),
+            Some((vaddr, kind)) => self.memory_access(instr.pc, vaddr, kind),
         }
-        let housekeeping_interval = self.config.housekeeping_interval;
-        let c = active_mut!(self, PIN0);
+    }
+
+    /// Charges `ran` instructions and the cycles core `core` spent since
+    /// `cycles_before` to the process holding the core, and advances the
+    /// core's housekeeping counter.
+    fn attribute(&mut self, core: usize, ran: u64, cycles_before: u64) {
+        let c = &mut self.cores[core];
         let perf = &mut self.per_proc[c.current_slot];
-        perf.instructions += 1;
+        perf.instructions += ran;
         perf.cycles += c.core.cycles().raw() - cycles_before;
-        c.instructions_since_housekeeping += 1;
-        if housekeeping_interval > 0 && c.instructions_since_housekeeping >= housekeeping_interval {
-            c.instructions_since_housekeeping = 0;
-            self.housekeeping();
-        }
-        let fence_interval = self.config.invariant_check_interval;
-        if fence_interval > 0 {
-            self.instructions_since_invariant_check += 1;
-            if self.instructions_since_invariant_check >= fence_interval {
-                self.instructions_since_invariant_check = 0;
-                self.assert_invariants();
-            }
-        }
+        c.instructions_since_housekeeping += ran;
     }
 
     /// Flushes locally accumulated translation costs into the active core's
     /// and the current process's accounting (one dense-array index per
     /// memory access; compute instructions never touch these fields).
-    fn credit_translation<const PIN0: bool>(
-        &mut self,
-        cycles: u64,
-        ptw_latency: u64,
-        ptw_count: u64,
-    ) {
-        let c = active_mut!(self, PIN0);
-        c.translation_cycles += cycles;
-        c.ptw_latency_cycles += ptw_latency;
-        c.ptw_count += ptw_count;
+    fn credit_translation(&mut self, cost: &AccessCost) {
+        let c = &mut self.cores[self.active];
+        c.translation_cycles += cost.translation_cycles;
+        c.ptw_latency_cycles += cost.ptw_latency;
+        c.ptw_count += cost.ptw_count;
         let perf = &mut self.per_proc[c.current_slot];
-        perf.translation_cycles += cycles;
-        perf.ptw_latency_cycles += ptw_latency;
-        perf.ptw_count += ptw_count;
+        perf.translation_cycles += cost.translation_cycles;
+        perf.ptw_latency_cycles += cost.ptw_latency;
+        perf.ptw_count += cost.ptw_count;
     }
 
     /// Executes one application instruction on core `core` — the multi-core
@@ -1414,7 +1237,7 @@ impl System {
     /// before the fix, the TLBs kept translating into the freed frames.
     // vmlint: allow(no-alloc-in-hot-path, "periodic slow path: runs once per housekeeping interval, not per access; the counting-allocator test brackets it out of the steady-state window")
     fn housekeeping(&mut self) {
-        let current = core_ref!(self, self.active).current;
+        let current = self.cores[self.active].current;
         self.functional
             .post_request(KernelRequest::BackgroundTick { pid: current });
         let _ = self.functional.take_request();
@@ -1430,47 +1253,28 @@ impl System {
         self.apply_invalidations_from(self.active, &invalidations, detailed);
     }
 
-    /// Performs one data memory access: translation, possible fault
-    /// handling, then the data access itself. [`System::step`] retires the
-    /// surrounding instruction's per-process accounting.
+    /// Performs one data memory access on the active core: translation,
+    /// possible fault handling, then the data access itself.
+    /// [`System::attribute`] retires the surrounding instruction's
+    /// per-process accounting.
     ///
-    /// The core-local half (the L0 fast path and the engine translation —
-    /// [`CoreState::local_translate`]) is shared with the parallel epoch
-    /// workers; the shared-state half below is exactly what the epoch
-    /// barrier replays, so the inline and epoch schedules charge identical
-    /// cycles in identical order.
-    fn memory_access<const PIN0: bool>(&mut self, pc: VirtAddr, vaddr: VirtAddr, kind: AccessType) {
-        let asid = Self::asid_of(active_ref!(self, PIN0).current);
-        let translation = active_mut!(self, PIN0).local_translate(asid, vaddr);
-        if translation.paddr.is_none() {
-            // Fault: resolve it on the serial path shared with the epoch
-            // barrier (walk charging, kernel service, one retry).
-            let entry = DeferredAccess {
+    /// The core-local half ([`CoreState::local_translate`]) is what the
+    /// parallel epoch workers run; the shared-state half is the very
+    /// function the epoch barrier replays, so the inline and epoch
+    /// schedules charge identical cycles in identical order.
+    fn memory_access(&mut self, pc: VirtAddr, vaddr: VirtAddr, kind: AccessType) {
+        let asid = Self::asid_of(self.cores[self.active].current);
+        let translation = self.cores[self.active].local_translate(asid, vaddr);
+        if translation.paddr.is_some() {
+            self.finish_access(pc, kind, &translation);
+        } else {
+            self.finish_faulted_access(&DeferredAccess {
                 pc,
                 vaddr,
                 kind,
                 translation,
-            };
-            self.finish_faulted_access(&entry);
-            return;
+            });
         }
-
-        let mut total_latency = translation.fixed_latency;
-        let mut translation_cycles = translation.penalty_cycles;
-        let mut ptw_latency = 0u64;
-        let mut ptw_count = 0u64;
-        if let Some(walk) = &translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
-        self.credit_translation::<PIN0>(translation_cycles, ptw_latency, ptw_count);
-
-        let paddr = translation.paddr.expect("checked above");
-        total_latency += self.data_access(pc, paddr, kind);
-        active_mut!(self, PIN0).core.retire_memory(total_latency);
     }
 
     /// The data access through caches and DRAM: the demanded line (and any
@@ -1506,84 +1310,80 @@ impl System {
         latency
     }
 
-    /// Replays the shared-state half of one successfully translated epoch
-    /// access on the active core: walk charging, translation crediting,
-    /// cache/DRAM traffic and the final retire, in exactly the order the
-    /// inline path performs them.
-    fn replay_access(&mut self, entry: &DeferredAccess) {
-        let mut total_latency = entry.translation.fixed_latency;
-        let mut translation_cycles = entry.translation.penalty_cycles;
-        let mut ptw_latency = 0u64;
-        let mut ptw_count = 0u64;
-        if let Some(walk) = &entry.translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
-        self.credit_translation::<false>(translation_cycles, ptw_latency, ptw_count);
-        let paddr = entry
-            .translation
-            .paddr
-            .expect("replayed accesses translated locally");
-        total_latency += self.data_access(entry.pc, paddr, entry.kind);
-        core_mut!(self, self.active)
-            .core
-            .retire_memory(total_latency);
+    /// The shared-state half of one successfully translated access on the
+    /// active core: walk charging, translation crediting, cache/DRAM
+    /// traffic and the final retire.
+    #[inline(always)]
+    fn finish_access(&mut self, pc: VirtAddr, kind: AccessType, translation: &LocalTranslation) {
+        let mut cost = AccessCost::default();
+        self.charge_translation(
+            translation.fixed_latency,
+            translation.walk.as_ref(),
+            &mut cost,
+        );
+        self.credit_translation(&cost);
+        let paddr = translation.paddr.expect("finished accesses translated");
+        let latency = cost.latency + self.data_access(pc, paddr, kind);
+        self.cores[self.active].core.retire_memory(latency);
     }
 
     /// Completes a memory access whose core-local translation faulted:
     /// charges the recorded attempt-0 walk, services the fault through the
-    /// kernel, then retries the translation once — the exact tail of the
-    /// pre-epoch translation loop. Shared between the inline step path
-    /// (which calls it immediately) and the epoch barrier (which calls it
-    /// while resuming a truncated slice mid-instruction).
+    /// kernel, then retries the translation once. Shared between the
+    /// inline step path (which calls it immediately) and the epoch barrier
+    /// (which calls it while resuming a truncated slice mid-instruction).
     // vmlint: allow(no-alloc-in-hot-path, "fault slow path: runs only when a translation faulted into the kernel, never on the TLB/PTW steady-state hit path the allocator test measures")
     fn finish_faulted_access(&mut self, entry: &DeferredAccess) {
-        let asid = Self::asid_of(core_ref!(self, self.active).current);
-        let mut total_latency = entry.translation.fixed_latency;
-        let mut translation_cycles = entry.translation.penalty_cycles;
-        let mut ptw_latency = 0u64;
-        let mut ptw_count = 0u64;
-        if let Some(walk) = &entry.translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
+        let asid = Self::asid_of(self.cores[self.active].current);
+        let mut cost = AccessCost::default();
+        let translation = &entry.translation;
+        self.charge_translation(
+            translation.fixed_latency,
+            translation.walk.as_ref(),
+            &mut cost,
+        );
         if !self.handle_fault(entry.vaddr, entry.kind.is_write()) {
             // Unresolvable fault: skip the access.
-            self.credit_translation::<false>(translation_cycles, ptw_latency, ptw_count);
-            core_mut!(self, self.active).core.retire_compute(1);
+            self.credit_translation(&cost);
+            self.cores[self.active].core.retire_compute(1);
             return;
         }
-        // Retry once; the L0 path stands down here, matching the original
-        // attempt loop (the engine refills it on this translation).
+        // Retry once; the L0 path stands down here (the engine refills it
+        // on this translation).
         let result = {
-            let c = core_mut!(self, self.active);
+            let c = &mut self.cores[self.active];
             c.engine.translate(&mut c.mmu, asid, entry.vaddr)
         };
-        total_latency += result.fixed_latency;
-        translation_cycles += result.fixed_latency.raw().saturating_sub(1);
-        if let Some(walk) = &result.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
-        self.credit_translation::<false>(translation_cycles, ptw_latency, ptw_count);
+        self.charge_translation(result.fixed_latency, result.walk.as_ref(), &mut cost);
+        self.credit_translation(&cost);
         let Some(paddr) = result.paddr else {
             // Still unmapped after a successful fault: skip the access.
-            core_mut!(self, self.active).core.retire_compute(1);
+            self.cores[self.active].core.retire_compute(1);
             return;
         };
-        total_latency += self.data_access(entry.pc, paddr, entry.kind);
-        core_mut!(self, self.active)
-            .core
-            .retire_memory(total_latency);
+        let latency = cost.latency + self.data_access(entry.pc, paddr, entry.kind);
+        self.cores[self.active].core.retire_memory(latency);
+    }
+
+    /// Adds one translation attempt to `cost`: its fixed TLB/PWC probe
+    /// latency and, when it walked, the walk replayed through the memory
+    /// hierarchy.
+    #[inline(always)]
+    fn charge_translation(
+        &mut self,
+        fixed_latency: Cycles,
+        walk: Option<&WalkOutcome>,
+        cost: &mut AccessCost,
+    ) {
+        cost.latency += fixed_latency;
+        cost.translation_cycles += fixed_latency.raw().saturating_sub(1);
+        if let Some(walk) = walk {
+            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
+            cost.latency += walk_latency;
+            cost.translation_cycles += walk_latency.raw();
+            cost.ptw_latency += walk_latency.raw();
+            cost.ptw_count += 1;
+        }
     }
 
     /// Replays a page-table walk through the memory hierarchy and returns
@@ -1640,7 +1440,7 @@ impl System {
     fn handle_fault(&mut self, vaddr: VirtAddr, is_write: bool) -> bool {
         self.fault_events += 1;
         self.functional.post_request(KernelRequest::PageFault {
-            pid: core_ref!(self, self.active).current,
+            pid: self.cores[self.active].current,
             vaddr,
             is_write,
         });
@@ -1711,7 +1511,7 @@ impl System {
                         }
                         let device_cycles =
                             (device_latency_ns * self.config.core.frequency.ghz()).round() as u64;
-                        core_mut!(self, self.active)
+                        self.cores[self.active]
                             .core
                             .stall(Cycles::new(device_cycles));
                     }
@@ -1720,7 +1520,7 @@ impl System {
                         ..
                     } => {
                         self.apply_invalidations_from(self.active, &invalidations, false);
-                        let c = core_mut!(self, self.active);
+                        let c = &mut self.cores[self.active];
                         c.engine
                             .handle_fault_install(&mut c.mmu, asid, &mapping, install_info);
                         for extra in &additional {
@@ -1799,7 +1599,7 @@ impl System {
         for kill in kills {
             let asid = Self::asid_of(kill.victim);
             for core in 0..num_cores {
-                let c = core_mut!(self, core);
+                let c = &mut self.cores[core];
                 let dropped = c.engine.flush_asid(&mut c.mmu, asid);
                 self.shootdowns.tlb_entries_dropped += dropped as u64;
             }
@@ -1844,16 +1644,16 @@ impl System {
         info: InstallInfo,
     ) {
         let accesses = {
-            let c = core_mut!(self, core);
+            let c = &mut self.cores[core];
             c.engine
                 .handle_fault_install(&mut c.mmu, asid, mapping, info)
         };
-        core_mut!(self, core).core.set_kernel_mode(true);
+        self.cores[core].core.set_kernel_mode(true);
         for pa in accesses {
             let lat = self.charge_kernel_access(pa, AccessType::Write);
-            core_mut!(self, core).core.retire_memory(lat);
+            self.cores[core].core.retire_memory(lat);
         }
-        core_mut!(self, core).core.set_kernel_mode(false);
+        self.cores[core].core.set_kernel_mode(false);
     }
 
     /// Tears down the translations of a single victim page on core `core`,
@@ -1868,7 +1668,7 @@ impl System {
     ) {
         let asid = Self::asid_of(victim.pid);
         let outcome = {
-            let c = core_mut!(self, core);
+            let c = &mut self.cores[core];
             c.engine
                 .invalidate(&mut c.mmu, asid, victim.vaddr, victim.page_size)
         };
@@ -1876,12 +1676,12 @@ impl System {
         self.shootdowns.pwc_entries_dropped += outcome.pwc_entries_dropped as u64;
         self.shootdowns.engine_entries_dropped += outcome.engine_entries_dropped as u64;
         if charge_memory {
-            core_mut!(self, core).core.set_kernel_mode(true);
+            self.cores[core].core.set_kernel_mode(true);
             for pa in outcome.accesses {
                 let lat = self.charge_kernel_access(pa, AccessType::Write);
-                core_mut!(self, core).core.retire_memory(lat);
+                self.cores[core].core.retire_memory(lat);
             }
-            core_mut!(self, core).core.set_kernel_mode(false);
+            self.cores[core].core.set_kernel_mode(false);
         }
     }
 
@@ -1926,7 +1726,7 @@ impl System {
             0
         };
 
-        // Initiator-local teardown (the legacy single-core path verbatim).
+        // Initiator-local teardown.
         for victim in &batch.victims {
             self.shootdowns.pages += 1;
             self.invalidate_victim_on(initiator, victim, charge_memory);
@@ -1952,7 +1752,7 @@ impl System {
                     // longer (a busy interrupt controller); the remote
                     // core's stall grows by the configured delay.
                     let stall = ipi_cost + self.os.injected_ipi_delay_cycles();
-                    core_mut!(self, core).core.stall(Cycles::new(stall));
+                    self.cores[core].core.stall(Cycles::new(stall));
                     if let Some(per_core) = self.shootdowns.per_core.as_mut() {
                         per_core[core].ipi_stall_cycles += stall;
                     }
@@ -1973,7 +1773,7 @@ impl System {
             if charge_memory {
                 self.install_mapping_detailed(home, asid, mapping, InstallInfo::default());
             } else {
-                let c = core_mut!(self, home);
+                let c = &mut self.cores[home];
                 c.engine
                     .handle_fault_install(&mut c.mmu, asid, mapping, InstallInfo::default());
             }
@@ -1990,21 +1790,19 @@ impl System {
     }
 
     fn inject_stream(&mut self, stream: &KernelInstructionStream) {
-        core_mut!(self, self.active).core.set_kernel_mode(true);
+        self.cores[self.active].core.set_kernel_mode(true);
         for op in stream.ops() {
             match *op {
                 KernelOp::Compute { count } => {
-                    core_mut!(self, self.active)
-                        .core
-                        .retire_compute(count as u64);
+                    self.cores[self.active].core.retire_compute(count as u64);
                 }
                 KernelOp::Memory { paddr, kind } => {
                     let latency = self.charge_kernel_access(paddr, kind);
-                    core_mut!(self, self.active).core.retire_memory(latency);
+                    self.cores[self.active].core.retire_memory(latency);
                 }
             }
         }
-        core_mut!(self, self.active).core.set_kernel_mode(false);
+        self.cores[self.active].core.set_kernel_mode(false);
     }
 
     fn charge_kernel_access(&mut self, paddr: PhysAddr, kind: AccessType) -> Cycles {
@@ -2081,7 +1879,7 @@ impl System {
         let tlb_holds_native_vas = !matches!(self.config.engine, mmu_sim::EngineConfig::Midgard(_));
 
         for core in 0..num_cores {
-            let c = core_ref!(self, core);
+            let c = &self.cores[core];
             for (asid, cached) in c.mmu.tlb().entries() {
                 let idx = asid.raw() as usize;
                 if idx >= num_processes {
@@ -2261,8 +2059,8 @@ impl System {
 
     /// Assembles the simulation report for everything executed so far.
     ///
-    /// On a single-core system this is exactly the legacy report. With
-    /// several cores the instruction counts, walks and translation costs
+    /// On a single-core system IPC and L2 TLB MPKI come from the core's own
+    /// counters. With several cores the instruction counts, walks and translation costs
     /// are summed across cores, the machine's elapsed time is the slowest
     /// core's cycle count (the cores tick in lockstep rounds), and the
     /// engine section reports core 0's frontend.
@@ -2272,20 +2070,23 @@ impl System {
         let freq = self.config.core.frequency;
 
         let app_instructions: u64 = self
-            .each_core()
+            .cores
+            .iter()
             .map(|c| c.core.stats().app_instructions.get())
             .sum();
         let kernel_instructions: u64 = self
-            .each_core()
+            .cores
+            .iter()
             .map(|c| c.core.stats().kernel_instructions.get())
             .sum();
         let cycles = self
-            .each_core()
+            .cores
+            .iter()
             .map(|c| c.core.cycles().raw())
             .max()
             .unwrap_or(0);
-        let (ipc, app_ipc) = if self.extra_cores.is_empty() {
-            (self.core0.core.ipc(), self.core0.core.app_ipc())
+        let (ipc, app_ipc) = if let [only] = self.cores.as_slice() {
+            (only.core.ipc(), only.core.app_ipc())
         } else if cycles == 0 {
             (0.0, 0.0)
         } else {
@@ -2294,17 +2095,17 @@ impl System {
                 app_instructions as f64 / cycles as f64,
             )
         };
-        let walks: u64 = self.each_core().map(|c| c.mmu.stats().walks.get()).sum();
-        let l2_tlb_mpki = if self.extra_cores.is_empty() {
-            self.core0.mmu.stats().l2_mpki(app_instructions)
+        let walks: u64 = self.cores.iter().map(|c| c.mmu.stats().walks.get()).sum();
+        let l2_tlb_mpki = if let [only] = self.cores.as_slice() {
+            only.mmu.stats().l2_mpki(app_instructions)
         } else if app_instructions == 0 {
             0.0
         } else {
             walks as f64 * 1000.0 / app_instructions as f64
         };
-        let translation_cycles: u64 = self.each_core().map(|c| c.translation_cycles).sum();
-        let ptw_count: u64 = self.each_core().map(|c| c.ptw_count).sum();
-        let ptw_latency_cycles: u64 = self.each_core().map(|c| c.ptw_latency_cycles).sum();
+        let translation_cycles: u64 = self.cores.iter().map(|c| c.translation_cycles).sum();
+        let ptw_count: u64 = self.cores.iter().map(|c| c.ptw_count).sum();
+        let ptw_latency_cycles: u64 = self.cores.iter().map(|c| c.ptw_latency_cycles).sum();
 
         let total_time_ns = Cycles::new(cycles).to_nanos(freq).as_nanos();
         let translation_ns = Cycles::new(translation_cycles).to_nanos(freq).as_nanos();
@@ -2337,7 +2138,7 @@ impl System {
             swap_io_ns: self.os.swap().stats().total_io_ns,
             huge_mappings: os_stats.huge_mappings.get(),
             base_mappings: os_stats.base_mappings.get(),
-            engine: self.core0.engine.report(&self.core0.mmu),
+            engine: self.cores[0].engine.report(&self.cores[0].mmu),
             shootdowns: (!self.shootdowns.is_zero()).then(|| self.shootdowns.clone()),
             oom: {
                 let kills = os_stats.oom_kills.get();
@@ -2609,7 +2410,7 @@ mod tests {
             .expect("collapse created a huge mapping");
         let asid = System::asid_of(system.pid());
         let result = {
-            let c = &mut system.core0;
+            let c = &mut system.cores[0];
             c.engine.translate(&mut c.mmu, asid, huge.vaddr)
         };
         assert_eq!(result.paddr, Some(huge.paddr));
@@ -3018,7 +2819,7 @@ mod tests {
             page_size: PageSize::Size4K,
         };
         let asid = System::asid_of(system.pid());
-        system.core0.mmu.install_mapping(asid, &bogus);
+        system.cores[0].mmu.install_mapping(asid, &bogus);
         let violation = system.check_invariants().unwrap_err();
         assert!(
             violation.contains("stale"),

@@ -2,7 +2,7 @@
 //! for the paper's real Intel Xeon Gold 6226R measurements, and the accuracy
 //! metrics used by the validation figures (Figs. 8–10).
 //!
-//! **Substitution note (see DESIGN.md §1):** the paper validates Virtuoso
+//! **Substitution note:** the paper validates Virtuoso
 //! against hardware performance counters and `ftrace` measurements of a real
 //! server. Without that hardware, this reproduction uses a *reference
 //! machine model*: the detailed simulator run at its highest-fidelity

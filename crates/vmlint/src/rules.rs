@@ -44,7 +44,8 @@ pub const ALL_RULES: &[&str] = &[
 ];
 
 /// The hot-path roots of R1: `(fn name, required impl type)`.
-/// `System::step_block` is the batched steady-state loop,
+/// `System::step_block` is the instruction loop behind `System::run`,
+/// `System::step` and the multiprogram loop's fallback turns,
 /// `CoreState::run_slice_local` the parallel epoch phase, and
 /// `Mmu::translate` the translation frontend every engine composes with.
 const R1_ROOTS: &[(&str, Option<&str>)] = &[

@@ -876,9 +876,9 @@ mod tests {
 
     #[test]
     fn trait_impls_take_the_self_type_after_for() {
-        let fs = scan("impl TraceSource for ReplayFront<'_> {\n fn next_instruction(&mut self) -> Option<u64> { None }\n}\n");
+        let fs = scan("impl TraceSource for Instrs<'_> {\n fn next_instruction(&mut self) -> Option<u64> { None }\n}\n");
         let f = &fs.fns[0];
-        assert_eq!(f.impl_type.as_deref(), Some("ReplayFront"));
+        assert_eq!(f.impl_type.as_deref(), Some("Instrs"));
     }
 
     #[test]

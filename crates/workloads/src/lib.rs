@@ -1,7 +1,7 @@
 //! Synthetic workload generators imitating the benchmark suites used in the
 //! Virtuoso paper's evaluation (Table 5).
 //!
-//! **Substitution note (DESIGN.md §1):** the paper runs real binaries
+//! **Substitution note:** the paper runs real binaries
 //! (GraphBIG, XSBench, GUPS, FaaS functions, llama.cpp inference, image
 //! kernels). The VM subsystem, however, only observes their *address and
 //! allocation behaviour*. Each generator here produces an instruction/access

@@ -337,7 +337,7 @@ fn reports_are_byte_identical_across_host_thread_counts() {
 
 /// The same contract under memory pressure, where the epoch planner
 /// stands down (reclaim and OOM kills may touch every core) and the loop
-/// serializes onto the legacy one-tick schedule: thread counts still
+/// serializes onto the fallback one-tick schedule: thread counts still
 /// cannot matter, because no epoch is ever allowed to run concurrently
 /// with reclaim.
 #[test]
@@ -357,5 +357,35 @@ fn pressure_runs_are_byte_identical_across_host_thread_counts() {
                 "{threads} host threads diverged under memory pressure"
             ),
         }
+    }
+}
+
+/// The epoch planner sizes every core's slice before pulling a single
+/// instruction: when a later core's cap is a runt and the round falls
+/// back to a serial `CORE_TICK` round, no earlier core may have consumed
+/// trace instructions it then never runs. Three processes on two cores
+/// put the second core's quantum end out of step with the first's, which
+/// is exactly when the runt fallback fires after core 0's slice is sized.
+#[test]
+fn runt_fallback_never_drops_planned_instructions() {
+    const INSTRUCTIONS: u64 = 30_000;
+    let specs = plentiful_specs(3, INSTRUCTIONS);
+    for threads in [1usize, 2] {
+        let mut config = SystemConfig::small_test()
+            .with_cores(2)
+            .with_host_threads(threads);
+        config.os.policy = AllocationPolicy::BuddyFourK;
+        config.os.thp = virtuoso_suite::mimic_os::ThpConfig::disabled();
+        let (mut system, pids) = build_multiprocess(config, &specs);
+        let report = run_mix(&mut system, &pids, &specs, 7);
+        assert!(system.epochs_run() > 0, "the epoch planner never engaged");
+        for process in &report.processes {
+            assert_eq!(
+                process.instructions, INSTRUCTIONS,
+                "{threads} host threads: pid {} lost trace instructions",
+                process.pid
+            );
+        }
+        assert_eq!(report.rollup.instructions, 3 * INSTRUCTIONS);
     }
 }
